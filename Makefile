@@ -13,8 +13,15 @@ test:
 # the PF2 warm-pool batch gate is enforced even here: the run fails
 # if the persistent warm-cache dispatcher stops beating the reference
 # interpreter by at least 2x the old 2.44x cold-dispatch baseline.
-bench-smoke: obs-smoke faults-smoke runtime-smoke ensemble-smoke journal-smoke comm-smoke sched-smoke
+bench-smoke: perfbench-smoke obs-smoke faults-smoke runtime-smoke ensemble-smoke journal-smoke comm-smoke sched-smoke
 	python benchmarks/bench_perf_engine.py --smoke
+
+# The repo benchmark's self-tests (metric names, quantile rule, a tiny
+# pass of every workload).  Tier-1 never collects perfbench/; this is
+# the quickest check that the execute / last_dispatch / Session.stats()
+# surface the benchmark reads still holds.
+perfbench-smoke:
+	python3 -m pytest perfbench -q
 
 # Workload-generic runtime gate at tiny sizes: the TM path through
 # repro.runtime keeps the PF2 warm-batch win, and the complang adapter
@@ -43,7 +50,8 @@ bench-ensemble:
 # telemetry piggyback, flight recorder, report, metric-name hygiene),
 # the ops report on a demo snapshot, then the overhead bench —
 # disabled-path < 5% on the compiled-engine hot loop, fully-traced
-# run_many exact, and cross-process telemetry within 10% of off.
+# run_jobs exact (runtime_cost_total == summed steps), and
+# cross-process telemetry within 10% of off.
 obs-smoke:
 	PYTHONPATH=src python -m pytest -x -q tests/test_obs_metrics.py tests/test_obs_instrument.py tests/test_obs_telemetry.py tests/test_obs_flight.py tests/test_obs_report.py tests/test_obs_hygiene.py
 	PYTHONPATH=src python -m repro.obs.report
@@ -115,4 +123,4 @@ bench-perf:
 bench:
 	PYTHONPATH=src python -m pytest benchmarks -q
 
-.PHONY: test bench bench-smoke bench-perf obs-smoke bench-obs obs-report faults-smoke bench-faults journal-smoke bench-journal comm-smoke bench-comm runtime-smoke bench-runtime ensemble-smoke bench-ensemble sched-smoke bench-sched
+.PHONY: test bench bench-smoke perfbench-smoke bench-perf obs-smoke bench-obs obs-report faults-smoke bench-faults journal-smoke bench-journal comm-smoke bench-comm runtime-smoke bench-runtime ensemble-smoke bench-ensemble sched-smoke bench-sched

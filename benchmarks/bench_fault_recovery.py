@@ -5,8 +5,8 @@ and a recovery path that taxes the fault-free fast path gets turned
 off.  This harness keeps both promises of
 :mod:`repro.faults.supervisor` honest:
 
-1. **Fault-free overhead gate** — ``run_many`` under
-   ``SupervisedBackend(SerialBackend())`` vs the bare
+1. **Fault-free overhead gate** — ``run_jobs`` under
+   ``SupervisedBackend(SerialBackend(MACHINES))`` vs the bare
    ``SerialBackend`` on the same batch.  The supervision event loop
    (futures, deadlines, per-chunk accounting) must cost < 10% or the
    script exits 1.
@@ -48,7 +48,8 @@ from repro.machines.turing import (  # noqa: E402
     copier,
     palindrome_checker,
 )
-from repro.perf.batch import SerialBackend, run_many  # noqa: E402
+from repro.runtime import SerialBackend, run_jobs  # noqa: E402
+from repro.runtime.workloads.machines import MACHINES  # noqa: E402
 from repro.util.timing import time_callable  # noqa: E402
 
 ROOT = _HERE.parent
@@ -69,22 +70,24 @@ def measure_supervision_overhead(smoke: bool, *, repeats: int) -> dict:
     njobs = 32 if smoke else 64
     jobs = [(binary_increment(), "1" * (tape_len + i)) for i in range(njobs)]
     fuel = 200_000
-    bare = SerialBackend()
+    bare = SerialBackend(MACHINES)
     supervised = SupervisedBackend(
-        inner=SerialBackend(), policy=SupervisorPolicy(chunksize=max(1, njobs // 8))
+        inner=SerialBackend(MACHINES), policy=SupervisorPolicy(chunksize=max(1, njobs // 8))
     )
-    expected = run_many(jobs, fuel=fuel, backend=bare)
-    assert run_many(jobs, fuel=fuel, backend=supervised) == expected, (
+    expected = run_jobs(MACHINES, jobs, fuel=fuel, backend=bare)
+    assert run_jobs(MACHINES, jobs, fuel=fuel, backend=supervised) == expected, (
         "supervision changed the answers"
     )
     # A smoke batch is ~10 ms; accumulate several per repeat or
     # scheduler jitter at that scale swamps the overhead signal.
     min_time = 0.05 if smoke else 0.1
     bare_s = time_callable(
-        lambda: run_many(jobs, fuel=fuel, backend=bare), repeats=repeats, min_time=min_time
+        lambda: run_jobs(MACHINES, jobs, fuel=fuel, backend=bare),
+        repeats=repeats,
+        min_time=min_time,
     )
     supervised_s = time_callable(
-        lambda: run_many(jobs, fuel=fuel, backend=supervised),
+        lambda: run_jobs(MACHINES, jobs, fuel=fuel, backend=supervised),
         repeats=repeats,
         min_time=min_time,
     )
@@ -110,11 +113,11 @@ def chaos_recovery_check(smoke: bool) -> dict:
     jobs = [(machine, tape * (i + 1)) for i, (machine, tape) in enumerate(base * reps)]
     poison_index = len(jobs) // 2
     fuel = 20_000
-    clean = run_many(jobs, fuel=fuel, backend="serial")
+    clean = run_jobs(MACHINES, jobs, fuel=fuel, backend="serial")
 
     schedule = ChaosSchedule(kinds={1: "crash", 3: "timeout", 6: "corrupt"})
     chaos = ChaosBackend(
-        SerialBackend(), schedule=schedule, poison_jobs=[jobs[poison_index]]
+        SerialBackend(MACHINES), schedule=schedule, poison_jobs=[jobs[poison_index]]
     )
     supervised = SupervisedBackend(
         inner=chaos,
@@ -126,7 +129,7 @@ def chaos_recovery_check(smoke: bool) -> dict:
             max_pool_restarts=1_000,  # quarantine, don't degrade, in this scenario
         ),
     )
-    results = run_many(jobs, fuel=fuel, backend=supervised)
+    results = run_jobs(MACHINES, jobs, fuel=fuel, backend=supervised)
     report = supervised.last_report
     survivors_exact = all(
         results[i] == clean[i] for i in range(len(jobs)) if i != poison_index

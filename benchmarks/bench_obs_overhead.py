@@ -11,10 +11,11 @@ is trustworthy:
    (``CompiledTM.run``) with instrumentation off.  The relative
    overhead must stay under 5% or the script exits 1.
 2. **Traced-batch invariant** — enables instrumentation over a
-   deterministic virtual-time tracer, runs ``run_many`` over >= 100
-   jobs, and checks (a) results are identical to the untraced run, and
-   (b) the ``tm_steps_total`` counter exactly equals the sum of
-   per-result step counts, and (c) a nested span tree was produced.
+   deterministic virtual-time tracer, runs ``run_jobs("machines", ...)``
+   over >= 100 jobs, and checks (a) results are identical to the
+   untraced run, and (b) the ``runtime_cost_total`` counter (the
+   machines adapter's cost is the step count) exactly equals the sum
+   of per-result step counts, and (c) a nested span tree was produced.
 3. **Cross-process telemetry gate** — a warm process-pool batch with
    telemetry on (contexts on every payload, worker-side capture,
    piggybacked deltas merged home) must stay within 10% of the same
@@ -54,8 +55,8 @@ from repro.machines.turing import (  # noqa: E402
 )
 from repro.obs import MetricsRegistry, Tracer, VirtualClock  # noqa: E402
 from repro.obs.instrument import OBS  # noqa: E402
-from repro.perf.batch import run_many  # noqa: E402
 from repro.perf.engine import compile_tm  # noqa: E402
+from repro.runtime import run_jobs  # noqa: E402
 from repro.util.timing import time_callable  # noqa: E402
 
 ROOT = _HERE.parent
@@ -132,8 +133,8 @@ def measure_enabled_cost(smoke: bool, *, repeats: int) -> dict:
 
 
 def traced_batch_check(smoke: bool) -> dict:
-    """Fully-traced run_many over >= 100 jobs: identical results, an
-    exact ``tm_steps_total``, and a span tree."""
+    """Fully-traced run_jobs over >= 100 jobs: identical results, an
+    exact ``runtime_cost_total``, and a span tree."""
     base_jobs = [
         (binary_increment(), "1" * 8),
         (palindrome_checker(), "abba"),
@@ -143,24 +144,24 @@ def traced_batch_check(smoke: bool) -> dict:
     jobs = base_jobs * 30  # 120 jobs
     fuel = 2_000 if smoke else 20_000
     OBS.disable()
-    expected = run_many(jobs, fuel=fuel)
+    expected = run_jobs("machines", jobs, fuel=fuel)
     registry = MetricsRegistry()
     tracer = Tracer(clock=VirtualClock(tick=1.0))
     OBS.enable(registry=registry, tracer=tracer)
     try:
-        traced = run_many(jobs, fuel=fuel)
+        traced = run_jobs("machines", jobs, fuel=fuel)
     finally:
         OBS.disable()
     expected_steps = sum(r.steps for r in expected)
-    recorded_steps = registry.total("tm_steps_total")
+    recorded_steps = registry.total("runtime_cost_total")
     trees = tracer.span_trees()
     tree_depth = 1 + max((1 for t in trees if t["children"]), default=0)
     return {
-        "name": "traced_run_many",
+        "name": "traced_run_jobs",
         "jobs": len(jobs),
         "results_identical": traced == expected,
         "expected_steps": expected_steps,
-        "tm_steps_total": recorded_steps,
+        "runtime_cost_total": recorded_steps,
         "steps_match": recorded_steps == expected_steps,
         "spans_finished": len(tracer.finished),
         "span_tree_depth": tree_depth,
@@ -344,8 +345,8 @@ def main(argv: list[str] | None = None) -> int:
         "PASS" if traced["results_identical"] else "FAIL",
     )
     table.add_row(
-        "tm_steps_total exact",
-        f"{traced['tm_steps_total']} == {traced['expected_steps']}",
+        "runtime_cost_total exact",
+        f"{traced['runtime_cost_total']} == {traced['expected_steps']}",
         "equal",
         "PASS" if traced["steps_match"] else "FAIL",
     )

@@ -43,13 +43,14 @@ from repro.machines.turing import (  # noqa: E402
     copier,
     palindrome_checker,
 )
-from repro.perf.batch import (  # noqa: E402
-    CompileCache,
-    ProcessBackend,
-    SerialBackend,
-    run_many,
-)
 from repro.perf.engine import compile_dfa, compile_tm  # noqa: E402
+from repro.runtime import (  # noqa: E402
+    ProcessBackend,
+    ResidentCache,
+    SerialBackend,
+    run_jobs,
+)
+from repro.runtime.workloads.machines import MACHINES  # noqa: E402
 from repro.util.timing import time_callable  # noqa: E402
 
 ROOT = _HERE.parent
@@ -142,11 +143,14 @@ def measure_batch(smoke: bool, *, repeats: int) -> dict:
     jobs = [(palindrome_checker(), "a" * 60)] * copies + [
         (copier(), "1" * 40)
     ] * copies
-    assert run_many(jobs, fuel=fuel) == run_many(jobs, fuel=fuel, compiled=False)
-    ref_s = time_callable(lambda: run_many(jobs, fuel=fuel, compiled=False), repeats=repeats)
-    fast_s = time_callable(lambda: run_many(jobs, fuel=fuel), repeats=repeats)
-    cache = CompileCache()
-    run_many(jobs, fuel=fuel, cache=cache)
+    def run(**kwargs):
+        return run_jobs(MACHINES, jobs, fuel=fuel, **kwargs)
+
+    assert run() == run(compiled=False)
+    ref_s = time_callable(lambda: run(compiled=False), repeats=repeats)
+    fast_s = time_callable(run, repeats=repeats)
+    cache = ResidentCache(MACHINES)
+    run(cache=cache)
     return {
         "name": "batch_palindrome+copier",
         "kind": "batch",
@@ -163,7 +167,7 @@ def measure_batch_warm(smoke: bool, *, repeats: int) -> dict:
 
     Same job mix as ``batch_palindrome+copier``, but executed on a
     persistent :class:`ProcessBackend` whose pool, resident program
-    tables, result memo and cost model survive across ``run_many``
+    tables, result memo and cost model survive across ``run_jobs``
     calls.  The baseline is the honest per-job reference interpreter —
     a bare ``machine.run`` loop with no batch-layer amortisation —
     i.e. the same denominator the old 2.44x cold number was measured
@@ -176,23 +180,23 @@ def measure_batch_warm(smoke: bool, *, repeats: int) -> dict:
     jobs = [(palindrome_checker(), "a" * 60)] * copies + [
         (copier(), "1" * 40)
     ] * copies
-    serial = run_many(jobs, fuel=fuel, backend=SerialBackend())
+    serial = run_jobs(MACHINES, jobs, fuel=fuel, backend=SerialBackend(MACHINES))
 
     # Cold: one-shot dispatch on a fresh backend, pool build included.
-    cold_backend = ProcessBackend(workers=2)
+    cold_backend = ProcessBackend(MACHINES, workers=2)
     try:
         import time as _time
 
         t0 = _time.perf_counter()
-        cold_results = run_many(jobs, fuel=fuel, backend=cold_backend)
+        cold_results = run_jobs(MACHINES, jobs, fuel=fuel, backend=cold_backend)
         cold_s = _time.perf_counter() - t0
     finally:
         cold_backend.close()
     assert cold_results == serial, "cold warm-pool dispatch diverged from SerialBackend"
 
-    backend = ProcessBackend(workers=2)
+    backend = ProcessBackend(MACHINES, workers=2)
     try:
-        warm_results = run_many(jobs, fuel=fuel, backend=backend)  # prime
+        warm_results = run_jobs(MACHINES, jobs, fuel=fuel, backend=backend)  # prime
         assert pickle.dumps(warm_results) == pickle.dumps(serial), (
             "warm-pool results are not byte-identical to SerialBackend's"
         )
@@ -200,7 +204,7 @@ def measure_batch_warm(smoke: bool, *, repeats: int) -> dict:
             lambda: [m.run(t, fuel=fuel) for m, t in jobs], repeats=repeats
         )
         warm_s = time_callable(
-            lambda: run_many(jobs, fuel=fuel, backend=backend), repeats=repeats
+            lambda: run_jobs(MACHINES, jobs, fuel=fuel, backend=backend), repeats=repeats
         )
         dispatch = dict(backend.last_dispatch)
     finally:

@@ -44,7 +44,8 @@ from repro.core import (
     automate,
     interleave,
 )
-from repro.perf import compile_machine, run_compiled, run_many
+from repro.perf import compile_machine, run_compiled
+from repro.runtime import run_jobs
 
 __version__ = "1.0.0"
 
@@ -64,5 +65,5 @@ __all__ = [
     "interleave",
     "compile_machine",
     "run_compiled",
-    "run_many",
+    "run_jobs",
 ]

@@ -1,10 +1,12 @@
 """``backend="dist"``: multi-node sharded execution for the runtime.
 
 The coordinator side of the comm wire protocol.  A
-:class:`DistBackend` mirrors :class:`repro.runtime.core.ProcessBackend`'s
-master state — interned program ids, warm result memo, EWMA cost model
-— but instead of one process pool it drives ``nodes`` node workers
-through a :class:`repro.comm.Communicator`:
+:class:`DistBackend` keeps the same master state as
+:class:`repro.runtime.core.ProcessBackend` — one
+:class:`~repro.runtime.lifecycle.ProgramTable` of interned program ids,
+warm result memo and EWMA cost model — but instead of one process pool
+it drives ``nodes`` node workers through a
+:class:`repro.comm.Communicator`:
 
 * **Sharding.**  Every program's *content key* hashes to a home node
   (``sha1(key) mod nodes``); shard messages seed each node with
@@ -42,7 +44,7 @@ import os
 import pickle
 import threading
 import time
-from collections import Counter, OrderedDict, deque
+from collections import Counter, deque
 from collections.abc import Sequence
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from typing import Any
@@ -51,7 +53,13 @@ from repro.comm import Communicator, NodeLost, create_communicator
 from repro.obs.instrument import OBS
 from repro.obs.telemetry import current_context
 from repro.runtime import core as _core
-from repro.runtime.lifecycle import ChunkSettler, enter_close, mark_open
+from repro.runtime.lifecycle import (
+    ChunkSettler,
+    ProgramTable,
+    dispatch_summary,
+    enter_close,
+    mark_open,
+)
 from repro.runtime.workload import Job, Workload
 
 __all__ = ["DistBackend"]
@@ -95,10 +103,6 @@ class DistBackend:
             raise ValueError("need at least one node")
         if chunksize is not None and chunksize < 1:
             raise ValueError("chunksize must be >= 1 (or None for adaptive dispatch)")
-        if memo_size < 0:
-            raise ValueError("memo_size must be >= 0")
-        if table_size < 1:
-            raise ValueError("table_size must be >= 1")
         self.workload = workload
         self.nodes = nodes
         cpu = os.cpu_count() or 1
@@ -109,8 +113,6 @@ class DistBackend:
             topology = "hierarchical" if self.workers_per_node > 1 else "naive"
         self.topology = topology
         self.chunksize = chunksize
-        self.memo_size = memo_size
-        self.table_size = table_size
         self.max_node_restarts = max_node_restarts
         self.chaos = chaos
         self.connect_timeout = connect_timeout
@@ -122,12 +124,8 @@ class DistBackend:
         self._owner_pid = os.getpid()
         self._receiver: threading.Thread | None = None
         self._stop = threading.Event()
-        # Master-side intern state (mirrors ProcessBackend).
-        self._key_ids: dict[Any, int] = {}
-        self._next_id = 0
-        self._known: OrderedDict[int, tuple[Any, Any]] = OrderedDict()
-        self._memo: OrderedDict[tuple, Any] = OrderedDict()
-        self._cost: dict[int, float] = {}
+        # Master-side intern state, the same table ProcessBackend keeps.
+        self._table = ProgramTable(workload, table_size=table_size, memo_size=memo_size)
         self._home_cache: dict[int, int] = {}
         # Per-node shard state.
         self._generation = [0] * nodes
@@ -154,21 +152,11 @@ class DistBackend:
     # -- sharding ------------------------------------------------------------
 
     def _register(self, program: Any) -> int:
-        key = self.workload.program_key(program)
-        pid = self._key_ids.get(key)
-        if pid is None:
-            pid = self._next_id
-            self._next_id += 1
-            self._key_ids[key] = pid
-        self._known[pid] = (key, program)
-        self._known.move_to_end(pid)
-        if len(self._known) > self.table_size:
-            old_pid, (old_key, _) = self._known.popitem(last=False)
-            self._key_ids.pop(old_key, None)
-            self._cost.pop(old_pid, None)
-            self._home_cache.pop(old_pid, None)
+        pid, evicted = self._table.register(program)
+        if evicted is not None:
+            self._home_cache.pop(evicted, None)
             for seeded in self._seeded:
-                seeded.discard(old_pid)
+                seeded.discard(evicted)
         return pid
 
     def _home(self, pid: int) -> int:
@@ -180,7 +168,7 @@ class DistBackend:
         """
         node = self._home_cache.get(pid)
         if node is None:
-            key = self._known[pid][0]
+            key = self._table.known[pid][0]
             digest = hashlib.sha1(pickle.dumps(key, protocol=4)).digest()
             node = self._home_cache[pid] = int.from_bytes(digest[:8], "big") % self.nodes
         return node
@@ -218,7 +206,7 @@ class DistBackend:
         generation = self._generation[node]
         seeds = [
             (pid, program)
-            for pid, (_, program) in self._known.items()
+            for pid, (_, program) in self._table.known.items()
             if self._home(pid) == node
         ]
         barrier: Future = Future()
@@ -402,7 +390,7 @@ class DistBackend:
         seeded = self._seeded[node]
         for pid, _ in entries:
             if pid not in seeded and pid not in shipped:
-                shipped[pid] = self._known[pid][1]
+                shipped[pid] = self._table.known[pid][1]
         chunk_id = next(self._next_chunk)
         future: Future = Future()
         with self._lock:
@@ -468,19 +456,6 @@ class DistBackend:
         future, _ = self._send_chunk(target, entries, fuel=fuel, compiled=compiled)
         return future
 
-    # -- cost model ----------------------------------------------------------
-
-    def _estimate(self, pid: int) -> float:
-        est = self._cost.get(pid)
-        if est is not None:
-            return max(est, 1.0)
-        if self._cost:
-            return max(sum(self._cost.values()) / len(self._cost), 1.0)
-        return 1.0
-
-    def _observe_cost(self, pid: int, cost: float) -> None:
-        self._cost[pid] = 0.5 * self._cost.get(pid, float(cost)) + 0.5 * cost
-
     # -- warm lifecycle ------------------------------------------------------
 
     def warm(self, *, jobs: Sequence[Job] = (), programs: Sequence[Any] = ()) -> "DistBackend":
@@ -502,10 +477,7 @@ class DistBackend:
     def invalidate(self) -> None:
         """Drop every warm table: nodes, program registry, memo, costs."""
         self.close()
-        self._key_ids.clear()
-        self._known.clear()
-        self._memo.clear()
-        self._cost.clear()
+        self._table.clear()
         self._home_cache.clear()
 
     # -- execution -----------------------------------------------------------
@@ -525,15 +497,7 @@ class DistBackend:
         unique, slots, _ = _core.intern_jobs(self.workload, jobs)
         pids = [self._register(program) for program, _ in unique]
 
-        unique_results: list[Any] = [None] * len(unique)
-        pending: list[int] = []
-        for u, (pid, (_, input)) in enumerate(zip(pids, unique)):
-            memoed = self._memo.get((pid, input, fuel, compiled))
-            if memoed is not None:
-                self._memo.move_to_end((pid, input, fuel, compiled))
-                unique_results[u] = memoed
-            else:
-                pending.append(u)
+        unique_results, pending = self._table.recall(pids, unique, fuel, compiled)
 
         settler = ChunkSettler(self.name)
         aggregate = settler.aggregate
@@ -566,28 +530,22 @@ class DistBackend:
                 "misses": aggregate["misses"],
                 "size": aggregate["size"],
             }
-            self.last_dispatch = {
-                "jobs": len(jobs),
-                "unique_jobs": len(unique),
-                "deduped": len(jobs) - len(unique),
-                "chunks": chunks,
-                "steals": 0,
-                "payload_bytes": payload_bytes,
-                "warm_hits": warm_hits,
-                "memo_hits": warm_hits,
-                "ensemble_jobs": 0,
-                "nodes": self.nodes,
-                "node_restarts": self.node_restarts - restarts_before,
-                "degraded_jobs": self.degraded_jobs - degraded_before,
-            }
+            self.last_dispatch = dispatch_summary(
+                len(jobs),
+                len(unique),
+                chunks=chunks,
+                payload_bytes=payload_bytes,
+                warm_hits=warm_hits,
+                memo_hits=warm_hits,
+                ensemble_jobs=0,
+                nodes=self.nodes,
+                node_restarts=self.node_restarts - restarts_before,
+                degraded_jobs=self.degraded_jobs - degraded_before,
+            )
         out = [unique_results[s] for s in slots]
         if any(r is None for r in out):  # pragma: no cover - defensive
             raise RuntimeError("dispatch completed with unfilled result slots")
-        for u, (pid, (_, input)) in enumerate(zip(pids, unique)):
-            if self.memo_size and unique_results[u] is not None:
-                self._memo[(pid, input, fuel, compiled)] = unique_results[u]
-        while len(self._memo) > self.memo_size:
-            self._memo.popitem(last=False)
+        self._table.remember(pids, unique, unique_results, fuel, compiled)
         if cache is not None:
             cache.absorb(self.last_cache_stats)
         if OBS.enabled:
@@ -638,7 +596,7 @@ class DistBackend:
         """
         crash = _crash()
         queues: dict[int, deque[int]] = {n: deque() for n in range(self.nodes)}
-        estimates = {u: self._estimate(pids[u]) for u in pending}
+        estimates = {u: self._table.estimate(pids[u]) for u in pending}
         node_cost = {n: 0.0 for n in range(self.nodes)}
         for u in pending:
             node = self._home(pids[u])
@@ -688,7 +646,7 @@ class DistBackend:
             )
             for u, result in zip(leftovers, results):
                 unique_results[u] = result
-                self._observe_cost(pids[u], self.workload.cost(result))
+                self._table.observe_cost(pids[u], self.workload.cost(result))
             self.degraded_jobs += len(leftovers)
             if local is not None:
                 settler.absorb_stats(local.stats())
@@ -746,5 +704,5 @@ class DistBackend:
                 results = settler.settle(payload)
                 for u, result in zip(span, results):
                     unique_results[u] = result
-                    self._observe_cost(pids[u], self.workload.cost(result))
+                    self._table.observe_cost(pids[u], self.workload.cost(result))
         return chunks, payload_bytes

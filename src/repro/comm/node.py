@@ -18,12 +18,13 @@ Protocol (every message one framed pickle of ``(op, body)``):
   generation, programs})`` only once the pool is up, so the reply is
   a real barrier.
 * ``("chunk", {chunk_id, generation, entries, shipped, fuel,
-  compiled, ctx})`` — execute interned entries.  Serial nodes run
-  them inline through :func:`repro.runtime.core._execute_entries`
-  (against a node-local table, so in-process loopback nodes sharing
-  one interpreter never share state); pooled nodes submit the
-  payload to their own pool and reply from the done-callback, which
-  pipelines chunks across the node's workers.  Reply: ``("result",
+  compiled, ctx})`` — execute interned entries through the runtime's
+  one chunk entry point, :func:`repro.runtime.core._run_workload_chunk`.
+  Serial nodes run it inline against a node-local table, so
+  in-process loopback nodes sharing one interpreter never share
+  state; pooled nodes submit the payload to their own pool and reply
+  from the done-callback, which pipelines chunks across the node's
+  workers.  Reply: ``("result",
   {chunk_id, node, results, stats, seconds})`` — the same
   ``(results, stats, seconds)`` triple every runtime chunk returns,
   with any telemetry delta riding in ``stats`` exactly as PR 7's
@@ -43,7 +44,6 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
-from repro.obs.telemetry import run_captured
 from repro.runtime import core as _core
 from repro.util.framing import FrameError, read_frame, write_frame
 
@@ -167,10 +167,10 @@ class NodeServer:
             body["fuel"],
             body["compiled"],
         )
+        task = (*payload, ctx) if ctx is not None else payload
         if self.workers >= 1:
             if self._pool is None:  # a previous chunk broke it; self-heal
                 self._rebuild_pool()
-            task = (*payload, ctx) if ctx is not None else payload
             try:
                 future = self._pool.submit(_core._run_workload_chunk, task)
             except BaseException as exc:
@@ -178,18 +178,8 @@ class NodeServer:
                 return
             future.add_done_callback(lambda f: self._pooled_done(chunk_id, f))
             return
-        workload, generation, entries, shipped, fuel, compiled = payload
-
-        def run() -> tuple[list, dict, float]:
-            return _core._execute_entries(
-                workload, generation, entries, shipped, fuel, compiled, table=self._table
-            )
-
         try:
-            if ctx is not None:
-                result = run_captured(ctx, run, kind=workload.kind, jobs=len(entries))
-            else:
-                result = run()
+            result = _core._run_workload_chunk(task, self._table)
         except BaseException as exc:
             self._reply_error(chunk_id, exc)
             return

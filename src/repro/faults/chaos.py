@@ -37,7 +37,7 @@ it crashes, every time, no matter how often it is retried — which is
 exactly the behaviour that forces a supervisor to bisect the chunk and
 quarantine the job.  Poison is matched by job *content* — the
 workload adapter's ``content_key`` (for Turing machines,
-:func:`repro.perf.batch.machine_key` plus the tape) — not identity, so
+:func:`repro.perf.engine.program_key` plus the tape) — not identity, so
 a job decoded twice from the same description is still poison, for any
 workload kind.
 
@@ -56,6 +56,7 @@ from repro.faults.injection import FaultSchedule
 from repro.obs.instrument import OBS
 from repro.obs.telemetry import absorb_chunk_telemetry
 from repro.runtime.core import _ZERO_STATS, ResidentCache
+from repro.runtime.lifecycle import dispatch_summary
 from repro.runtime.workload import Job, Workload
 from repro.runtime.workloads.machines import MACHINES
 
@@ -162,9 +163,8 @@ class ChaosSchedule(FaultSchedule):
 def job_key(job: Job, workload: Workload | None = None) -> tuple:
     """Content key of a ``(program, input)`` job — how poison is matched.
 
-    Defaults to the Turing-machine adapter (``(machine_key(machine),
-    tape)``, the historical key); pass the job's workload for any
-    other kind.
+    Defaults to the Turing-machine adapter (``(program_key(machine),
+    tape)``); pass the job's workload for any other kind.
     """
     return (workload if workload is not None else MACHINES).content_key(job)
 
@@ -316,17 +316,13 @@ class ChaosBackend:
             for key in ("hits", "misses", "size"):
                 aggregate[key] += stats.get(key, 0)
         self.last_cache_stats = aggregate
-        self.last_dispatch = {
-            "jobs": len(jobs),
-            "unique_jobs": len(jobs),  # chaos does not intern; the inner does
-            "deduped": 0,
-            "chunks": len(chunks),
-            "steals": 0,
-            "payload_bytes": 0,
-            "warm_hits": 0,
-            "memo_hits": 0,
-            "injected": sum(self.injected.values()) - injected_before,
-        }
+        # Chaos does not intern (the inner backend does): unique == jobs.
+        self.last_dispatch = dispatch_summary(
+            len(jobs),
+            len(jobs),
+            chunks=len(chunks),
+            injected=sum(self.injected.values()) - injected_before,
+        )
         if cache is not None:
             cache.absorb(aggregate)
         return out

@@ -1,6 +1,6 @@
 """Supervised batch execution: deadlines, retries, hedging, quarantine.
 
-The bare backends in :mod:`repro.perf.batch` are the optimistic fast
+The bare backends in :mod:`repro.runtime.core` are the optimistic fast
 path: one poison job, lost worker, or hung chunk aborts the whole
 batch.  :class:`SupervisedBackend` is the deliberate recovery path
 layered on top — the two-systems split from PAPERS.md — and it drives
@@ -24,7 +24,7 @@ any chunk-submitting backend through an event loop of futures
   supervisor degrades to a fresh in-process
   :class:`~repro.runtime.core.SerialBackend` bound to the same
   workload and finishes the batch.
-  This composes with :class:`~repro.perf.batch.ProcessBackend`'s warm
+  This composes with :class:`~repro.runtime.core.ProcessBackend`'s warm
   state for free: ``recover()`` bumps the pool generation, the next
   ``submit_chunk`` re-seeds worker program tables from the master
   registry, and a generation-tagged payload can never be served from a
@@ -68,7 +68,7 @@ from repro.runtime.core import (
     intern_jobs,
 )
 from repro.runtime import lifecycle as _lifecycle
-from repro.runtime.lifecycle import ChunkSettler, enter_close, plan_chunks
+from repro.runtime.lifecycle import ChunkSettler, dispatch_summary, enter_close, plan_chunks
 from repro.runtime.workload import Job, Workload, get_workload
 
 __all__ = [
@@ -452,10 +452,10 @@ class SupervisedBackend:
     any instance exposing ``submit_chunk``.  The supervised workload is
     read off the inner backend; pass ``workload=`` (an adapter or a
     kind name) to pick one when ``inner`` is a name — omitted, the
-    Turing-machine adapter keeps the historical behaviour.  ``execute``
-    returns one slot per job, in order: the exact result for every job
-    that could be completed, ``None`` for the (rare) quarantined ones,
-    detailed in ``last_report``.
+    Turing-machine adapter.  ``execute`` returns one slot per job, in
+    order: the exact result for every job that could be completed,
+    ``None`` for the (rare) quarantined ones, detailed in
+    ``last_report``.
     """
 
     name = "supervised"
@@ -472,14 +472,7 @@ class SupervisedBackend:
         if isinstance(workload, str):
             workload = get_workload(workload)
         if isinstance(inner, str):
-            if workload is None:
-                # Historical default: resolve through the TM frontend's
-                # registry, so inner is the TM-bound backend class.
-                from repro.perf.batch import BACKENDS as _TM_BACKENDS
-
-                inner = _core.create_backend(inner, registry=_TM_BACKENDS, **inner_kwargs)
-            else:
-                inner = _core.create_backend(inner, workload=workload, **inner_kwargs)
+            inner = _core.create_backend(inner, workload=workload, **inner_kwargs)
         elif inner_kwargs:
             raise ValueError("backend kwargs only apply when inner is a name")
         if not hasattr(inner, "submit_chunk"):
@@ -570,22 +563,17 @@ class SupervisedBackend:
                 ]
             self.last_report = run.report
             self.last_cache_stats = dict(run.aggregate)
-            self.last_dispatch = {
-                "jobs": len(jobs),
-                "unique_jobs": len(unique),
-                "deduped": len(jobs) - len(unique),
-                "chunks": run.report.chunks,
-                "steals": 0,
-                "payload_bytes": 0,
-                "warm_hits": 0,
-                "memo_hits": 0,
-                "retries": run.report.retries,
-                "hedges": run.report.hedges,
-                "bisections": run.report.bisections,
-                "pool_restarts": run.report.pool_restarts,
-                "degraded": run.report.degraded,
-                "quarantined": len(run.report.quarantined),
-            }
+            self.last_dispatch = dispatch_summary(
+                len(jobs),
+                len(unique),
+                chunks=run.report.chunks,
+                retries=run.report.retries,
+                hedges=run.report.hedges,
+                bisections=run.report.bisections,
+                pool_restarts=run.report.pool_restarts,
+                degraded=run.report.degraded,
+                quarantined=len(run.report.quarantined),
+            )
             # Close only a backend the supervision created itself (the
             # degraded SerialBackend); the caller's inner backend stays
             # open so its warm pool and resident program tables survive

@@ -1,6 +1,6 @@
 """The instrumentation hub: one global hook, off by default, null-cheap.
 
-Hot subsystems (:mod:`repro.perf.engine`, :mod:`repro.perf.batch`, the
+Hot subsystems (:mod:`repro.perf.engine`, :mod:`repro.runtime`, the
 netstack, the fault layer, the simulated multicore) do not import the
 registry or the tracer directly.  They import :data:`OBS` — a single
 shared :class:`Instrumentation` object — and guard every recording
@@ -61,9 +61,6 @@ KNOWN_METRICS: dict[str, tuple[str, str]] = {
     "engine_halts_total": ("counter", "compiled runs that halted"),
     "engine_macro_skips_total": ("counter", "macro-stepped self-scan cells skipped"),
     # batch (per chunk / per execute)
-    "tm_jobs_total": ("counter", "jobs submitted through run_many"),
-    "tm_steps_total": ("counter", "sum of per-result step counts"),
-    "tm_halts_total": ("counter", "jobs whose machine halted"),
     "compile_cache_hits_total": ("counter", "jobs served from a compiled table"),
     "compile_cache_misses_total": ("counter", "jobs that forced a compile"),
     "batch_chunk_seconds": ("histogram", "wall time of each dispatched chunk"),
@@ -303,8 +300,8 @@ def observed(
     idiom::
 
         with observed() as obs:
-            run_many(jobs)
-        assert obs.registry.total("tm_steps_total") == ...
+            run_jobs("machines", jobs)
+        assert obs.registry.total("runtime_cost_total") == ...
     """
     handle = Instrumentation(
         registry=registry if registry is not None else MetricsRegistry(),

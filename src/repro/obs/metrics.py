@@ -5,7 +5,7 @@ correctness *and measurement* of our abstractions"; this module is the
 measurement half of that sentence.  It is deliberately dependency-free
 and shaped like the Prometheus client-library data model, the lingua
 franca of production metrics: every metric has a name, a kind, and a
-set of *labelled series* (``tm_steps_total{backend="process"}``), so
+set of *labelled series* (``runtime_cost_total{backend="process"}``), so
 the same counter can be sliced per backend, per scheme, per core.
 
 Three metric kinds:

@@ -9,23 +9,12 @@ flattened into flat lists, the tape a growable ``bytearray``) and runs
 a tight hot loop that is step-for-step equivalent to the reference —
 the equivalence is property-tested, which is what licenses the speed.
 
-:mod:`repro.perf.batch` executes batches of (machine, input) jobs with
-a keyed LRU compile cache and pluggable execution backends (serial, or
-a chunked process pool), so universal-machine replays and busy-beaver
-sweeps amortise compilation and can use every core.  Since the runtime
-extraction it is the Turing-machine frontend of
-:mod:`repro.runtime` — the workload-generic execution layer every
-subsystem shares.
+Batches of jobs run through :mod:`repro.runtime`, the workload-generic
+execution layer every subsystem shares: ``run_jobs("machines", jobs)``
+amortises compilation with resident program tables and can use every
+core.
 """
 
-from repro.perf.batch import (
-    BACKENDS,
-    CompileCache,
-    ProcessBackend,
-    SerialBackend,
-    create_backend,
-    run_many,
-)
 from repro.perf.engine import (
     CompiledDFA,
     CompiledMachine,
@@ -48,10 +37,4 @@ __all__ = [
     "compile_dfa",
     "compile_statemachine",
     "run_compiled",
-    "run_many",
-    "CompileCache",
-    "create_backend",
-    "BACKENDS",
-    "SerialBackend",
-    "ProcessBackend",
 ]

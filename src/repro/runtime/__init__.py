@@ -11,8 +11,8 @@ stack unchanged.
     from repro.runtime import run_jobs
     results = run_jobs("complang", jobs, backend="process")
 
-:mod:`repro.perf.batch` remains the TM-specialised frontend (same
-public surface, byte-identical results); the adapters live in
+Turing machines are the ``"machines"`` workload like any other
+(``run_jobs("machines", jobs)``); the adapters live in
 :mod:`repro.runtime.workloads`.
 """
 

@@ -1,15 +1,12 @@
 """The narrow-waist execution core: one batch stack, any workload.
 
-This is the warm batch machinery that grew up in
-:mod:`repro.perf.batch` — payload interning, resident program tables,
-persistent warm process pools, adaptive work-stealing dispatch —
-refactored so every mechanism is parameterized by a
-:class:`~repro.runtime.workload.Workload` adapter instead of
-hard-coded Turing-machine compile/run calls.  ``perf.batch`` is now a
-thin TM frontend over this module (its public surface is unchanged);
-complang VM runs, DPLL solves and busy-beaver sweeps plug in through
-their own adapters and get the same amortisation and the same
-supervision hooks for free.
+Payload interning, resident program tables, persistent warm process
+pools and adaptive work-stealing dispatch, every mechanism
+parameterized by a :class:`~repro.runtime.workload.Workload` adapter
+instead of hard-coded Turing-machine compile/run calls.  Turing
+machines (``run_jobs("machines", jobs)``), complang VM runs, DPLL
+solves and busy-beaver sweeps all plug in through their own adapters
+and get the same amortisation and the same supervision hooks.
 
 The mechanisms, workload-generically:
 
@@ -27,9 +24,8 @@ The mechanisms, workload-generically:
   a per-program EWMA cost model fed by ``workload.cost(result)`` and
   decay geometrically toward single jobs at the tail.
 
-Metric and span names are kept identical to the batch layer's
-(``batch_chunk_seconds``, ``compile_cache_hits_total``, ``batch.pool``
-…) so dashboards and the obs test-suite see one unchanged namespace
+Backend-level metric and span names (``batch_chunk_seconds``,
+``compile_cache_hits_total``, ``batch.pool`` …) are one namespace
 whichever workload is running; the workload-labelled ``runtime_*``
 series are emitted by :func:`run_jobs` on top.
 """
@@ -46,7 +42,14 @@ from typing import Any, Protocol
 
 from repro.obs.instrument import OBS
 from repro.obs.telemetry import current_context, run_captured
-from repro.runtime.lifecycle import ChunkSettler, enter_close, mark_open, plan_chunks
+from repro.runtime.lifecycle import (
+    ChunkSettler,
+    ProgramTable,
+    dispatch_summary,
+    enter_close,
+    mark_open,
+    plan_chunks,
+)
 from repro.runtime.workload import Job, Workload, get_workload
 
 __all__ = [
@@ -185,38 +188,6 @@ def run_job_loop(
     return out
 
 
-def _run_chunk(payload: tuple) -> tuple[list[Any], dict[str, int], float]:
-    """Uninterned chunk entry point (module-level so it pickles).
-
-    The serial backend's ``submit_chunk`` runs this inline so a
-    supervisor sees identical worker semantics on either backend: a
-    fresh per-chunk cache whose hit/miss counts — and the chunk's wall
-    time — ride home with the results.
-
-    ``payload`` is ``(workload, jobs, fuel, compiled)`` plus an
-    optional trailing :class:`~repro.obs.telemetry.TraceContext`; when
-    one rides, the chunk body runs under a worker-side telemetry
-    capture and its delta piggybacks in the stats dict.
-    """
-    workload, jobs, fuel, compiled = payload[:4]
-    ctx = payload[4] if len(payload) > 4 else None
-
-    def body() -> tuple[list[Any], dict[str, int], float]:
-        start = time.perf_counter()
-        cache = ResidentCache(workload) if compiled else None
-        results = run_job_loop(workload, jobs, fuel, compiled, cache)
-        stats = cache.stats() if cache is not None else dict(_ZERO_STATS)
-        return results, stats, time.perf_counter() - start
-
-    if ctx is None:
-        return body()
-    # No per-job key digests here: hashing every job's content key
-    # would dwarf a small chunk's real work.  The supervisor stamps
-    # digests on its dispatch spans, where retries make them earn
-    # their cost; the plain runtime links chunks by span ancestry.
-    return run_captured(ctx, body, kind=workload.kind, jobs=len(jobs))
-
-
 # ---------------------------------------------------------------------------
 # Worker-side resident state (process-pool side of payload interning)
 # ---------------------------------------------------------------------------
@@ -301,8 +272,10 @@ def _execute_entries(
     return results, stats, time.perf_counter() - start
 
 
-def _run_workload_chunk(payload) -> tuple[list[Any], dict[str, int], float]:
-    """Interned chunk entry point: ``(results, cache stats, seconds)``.
+def _run_workload_chunk(
+    payload, table: dict | None = None
+) -> tuple[list[Any], dict[str, int], float]:
+    """The chunk entry point: ``(results, cache stats, seconds)``.
 
     ``payload`` is ``(workload, generation, entries, shipped, fuel,
     compiled)`` plus an optional trailing
@@ -311,19 +284,24 @@ def _run_workload_chunk(payload) -> tuple[list[Any], dict[str, int], float]:
     to pickle shipped programs exactly once), so unwrap before
     dispatching.  A riding context wraps execution in a worker-side
     telemetry capture whose delta piggybacks home in the stats dict.
+    Pool workers, comm nodes and the serial backend all run chunks
+    through here; ``table`` is :func:`_execute_entries`'s.
     """
     if isinstance(payload, bytes):
         payload = pickle.loads(payload)
     workload, generation, entries, shipped, fuel, compiled = payload[:6]
     ctx = payload[6] if len(payload) > 6 else None
-    if ctx is None:
-        return _execute_entries(workload, generation, entries, shipped, fuel, compiled)
-    return run_captured(
-        ctx,
-        lambda: _execute_entries(workload, generation, entries, shipped, fuel, compiled),
-        kind=workload.kind,
-        jobs=len(entries),
-    )
+
+    def body() -> tuple[list[Any], dict[str, int], float]:
+        return _execute_entries(
+            workload, generation, entries, shipped, fuel, compiled, table=table
+        )
+
+    # No per-job key digests here: hashing every job's content key
+    # would dwarf a small chunk's real work.  The supervisor stamps
+    # digests on its dispatch spans, where retries make them earn
+    # their cost; the plain runtime links chunks by span ancestry.
+    return run_captured(ctx, body, kind=workload.kind, jobs=len(entries))
 
 
 class Backend(Protocol):
@@ -371,17 +349,20 @@ class SerialBackend:
     ) -> Future:
         """Run one chunk inline; return it as an already-settled future.
 
-        Same worker semantics as the process backend (fresh per-chunk
-        cache, stats ride home in the payload), so a supervisor can
-        drive either backend through one interface.
+        The chunk runs through the pool workers' own entry point, on a
+        chunk-local resident table: programs get ids by content key
+        within the chunk and all ship with it, so cache tallies and
+        the unpreparable-program fallback match a fresh worker's, and a
+        supervisor can drive either backend through one interface.
         """
         future: Future = Future()
         try:
-            future.set_result(
-                _run_chunk(
-                    (self.workload, tuple(chunk), fuel, compiled, current_context())
-                )
-            )
+            programs = ProgramTable(self.workload, table_size=max(1, len(chunk)), memo_size=0)
+            entries = [(programs.register(program)[0], input) for program, input in chunk]
+            shipped = {pid: program for pid, (_, program) in programs.known.items()}
+            payload = (self.workload, 0, entries, shipped, fuel, compiled, current_context())
+            table = {"generation": 0, "programs": {}, "machines": {}}
+            future.set_result(_run_workload_chunk(payload, table))
         except BaseException as exc:  # settled, never raised here
             future.set_exception(exc)
         return future
@@ -427,17 +408,10 @@ class SerialBackend:
             "misses": after["misses"] - before["misses"],
             "size": after["size"],
         }
-        self.last_dispatch = {
-            "jobs": len(jobs),
-            "unique_jobs": len(unique),
-            "deduped": deduped,
-            "chunks": 1 if jobs else 0,
-            "steals": 0,
-            "payload_bytes": 0,
-            "warm_hits": 0,
-            "memo_hits": 0,  # no cross-call result memo in-process
-            "ensemble_jobs": 0,
-        }
+        # No cross-call result memo in-process: memo_hits stays 0.
+        self.last_dispatch = dispatch_summary(
+            len(jobs), len(unique), chunks=1 if jobs else 0, ensemble_jobs=0
+        )
         if OBS.enabled:
             OBS.gauge("batch_queue_depth", 1, backend=self.name)
             OBS.observe("batch_chunk_seconds", elapsed, backend=self.name)
@@ -490,28 +464,19 @@ class ProcessBackend:
             raise ValueError("need at least one worker")
         if chunksize is not None and chunksize < 1:
             raise ValueError("chunksize must be >= 1 (or None for adaptive dispatch)")
-        if memo_size < 0:
-            raise ValueError("memo_size must be >= 0")
-        if table_size < 1:
-            raise ValueError("table_size must be >= 1")
         self.chunksize = chunksize
-        self.memo_size = memo_size
-        self.table_size = table_size
         self.last_cache_stats: dict[str, int] = dict(_ZERO_STATS)
         self.last_dispatch: dict[str, int] = {}
         self._pool: ProcessPoolExecutor | None = None
         self._owner_pid = os.getpid()
         # Master-side intern state.  generation tags worker tables to a
-        # pool incarnation; _known maps program id -> (content key,
-        # program) for re-seeding; _seeded is the subset baked into the
-        # current pool's initializer (resident on *every* worker).
+        # pool incarnation; _table holds the program registry (for
+        # re-seeding), cost model and result memo; _seeded is the subset
+        # baked into the current pool's initializer (resident on
+        # *every* worker).
         self.generation = 0
-        self._key_ids: dict[Any, int] = {}
-        self._next_id = 0
-        self._known: OrderedDict[int, tuple[Any, Any]] = OrderedDict()
+        self._table = ProgramTable(workload, table_size=table_size, memo_size=memo_size)
         self._seeded: set[int] = set()
-        self._memo: OrderedDict[tuple, Any] = OrderedDict()
-        self._cost: dict[int, float] = {}
 
     # -- warm lifecycle ------------------------------------------------------
 
@@ -540,10 +505,7 @@ class ProcessBackend:
     def invalidate(self) -> None:
         """Drop every warm table: pool, program registry, memo, costs."""
         self.close()
-        self._key_ids.clear()
-        self._known.clear()
-        self._memo.clear()
-        self._cost.clear()
+        self._table.clear()
 
     def recover(self) -> None:
         """Discard the pool — broken or not — so the next submit starts
@@ -574,19 +536,9 @@ class ProcessBackend:
 
     def _register(self, program: Any) -> int:
         """Intern a program; returns its compact program id."""
-        key = self.workload.program_key(program)
-        pid = self._key_ids.get(key)
-        if pid is None:
-            pid = self._next_id
-            self._next_id += 1
-            self._key_ids[key] = pid
-        self._known[pid] = (key, program)
-        self._known.move_to_end(pid)
-        if len(self._known) > self.table_size:
-            old_pid, (old_key, _) = self._known.popitem(last=False)
-            self._key_ids.pop(old_key, None)
-            self._seeded.discard(old_pid)
-            self._cost.pop(old_pid, None)
+        pid, evicted = self._table.register(program)
+        if evicted is not None:
+            self._seeded.discard(evicted)
         return pid
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -599,7 +551,7 @@ class ProcessBackend:
             self._seeded = set()
         if self._pool is None:
             self.generation += 1
-            seeds = [(pid, program) for pid, (_, program) in self._known.items()]
+            seeds = [(pid, program) for pid, (_, program) in self._table.known.items()]
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_worker_warm,
@@ -629,7 +581,7 @@ class ProcessBackend:
         shipped: dict[int, Any] = {}
         for pid, _ in entries:
             if pid not in self._seeded and pid not in shipped:
-                shipped[pid] = self._known[pid][1]
+                shipped[pid] = self._table.known[pid][1]
         ctx = current_context()
         payload = (self.workload, self.generation, tuple(entries), shipped, fuel, compiled)
         if ctx is not None:
@@ -670,18 +622,6 @@ class ProcessBackend:
             for plan in plan_chunks(jobs, chunksize=self.chunksize, workers=self.workers)
         ]
 
-    def _estimate(self, pid: int) -> float:
-        """Estimated relative cost of one job of program ``pid``."""
-        est = self._cost.get(pid)
-        if est is not None:
-            return max(est, 1.0)
-        if self._cost:
-            return max(sum(self._cost.values()) / len(self._cost), 1.0)
-        return 1.0
-
-    def _observe_cost(self, pid: int, cost: float) -> None:
-        self._cost[pid] = 0.5 * self._cost.get(pid, float(cost)) + 0.5 * cost
-
     # -- execution -----------------------------------------------------------
 
     def execute(
@@ -703,15 +643,7 @@ class ProcessBackend:
 
         # Warm memo: a (program, input, fuel) triple this backend has
         # already answered never goes back to the pool.
-        unique_results: list[Any] = [None] * len(unique)
-        pending: list[int] = []
-        for u, (pid, (_, input)) in enumerate(zip(pids, unique)):
-            memoed = self._memo.get((pid, input, fuel, compiled))
-            if memoed is not None:
-                self._memo.move_to_end((pid, input, fuel, compiled))
-                unique_results[u] = memoed
-            else:
-                pending.append(u)
+        unique_results, pending = self._table.recall(pids, unique, fuel, compiled)
 
         settler = ChunkSettler(self.name)
         aggregate = settler.aggregate
@@ -740,25 +672,20 @@ class ProcessBackend:
             # warm result memo" from "nothing ran" — a memo-served
             # batch reports chunks=0, payload_bytes=0 *and* memo_hits=N
             # rather than looking like an empty dispatch.
-            self.last_dispatch = {
-                "jobs": len(jobs),
-                "unique_jobs": len(unique),
-                "deduped": len(jobs) - len(unique),
-                "chunks": chunks,
-                "steals": steals,
-                "payload_bytes": payload_bytes,
-                "warm_hits": warm_hits,
-                "memo_hits": warm_hits,
-                "ensemble_jobs": 0,
-            }
+            self.last_dispatch = dispatch_summary(
+                len(jobs),
+                len(unique),
+                chunks=chunks,
+                steals=steals,
+                payload_bytes=payload_bytes,
+                warm_hits=warm_hits,
+                memo_hits=warm_hits,
+                ensemble_jobs=0,
+            )
         out = [unique_results[s] for s in slots]
         if any(r is None for r in out):  # pragma: no cover - defensive
             raise RuntimeError("dispatch completed with unfilled result slots")
-        for u, (pid, (_, input)) in enumerate(zip(pids, unique)):
-            if self.memo_size and unique_results[u] is not None:
-                self._memo[(pid, input, fuel, compiled)] = unique_results[u]
-        while len(self._memo) > self.memo_size:
-            self._memo.popitem(last=False)
+        self._table.remember(pids, unique, unique_results, fuel, compiled)
         if cache is not None:
             cache.absorb(self.last_cache_stats)
         if OBS.enabled:
@@ -801,7 +728,7 @@ class ProcessBackend:
         else:
             spans = deque()
             remainder = deque(pending)
-            estimates = {u: self._estimate(pids[u]) for u in pending}
+            estimates = {u: self._table.estimate(pids[u]) for u in pending}
             remaining_cost = sum(estimates.values())
 
         def next_span() -> list[int] | None:
@@ -845,7 +772,7 @@ class ProcessBackend:
                     results = settler.settle(future.result())
                     for u, result in zip(span, results):
                         unique_results[u] = result
-                        self._observe_cost(pids[u], self.workload.cost(result))
+                        self._table.observe_cost(pids[u], self.workload.cost(result))
         except BaseException:
             for future in in_flight:
                 future.cancel()
@@ -907,7 +834,7 @@ BACKENDS = {
 WRAPPER_BACKENDS = frozenset({"journaled", "supervised"})
 
 
-def _check_composite(name: str, reg: Mapping[str, Any]) -> None:
+def _check_composite(name: str) -> None:
     """Validate a composite backend name's whole prefix chain up front.
 
     ``create_backend`` resolves composites recursively, one wrapper at
@@ -927,11 +854,11 @@ def _check_composite(name: str, reg: Mapping[str, Any]) -> None:
     ``TypeError`` from the supervisor's constructor.
     """
     parts = name.split(":")
-    wrappers = sorted(WRAPPER_BACKENDS & set(reg))
+    wrappers = sorted(WRAPPER_BACKENDS)
     for part in parts[:-1]:
-        if part in WRAPPER_BACKENDS and part in reg:
+        if part in WRAPPER_BACKENDS:
             continue
-        if part in reg:
+        if part in BACKENDS:
             raise ValueError(
                 f"backend {part!r} cannot wrap another backend in {name!r};"
                 f" composable wrapper prefixes are {wrappers}"
@@ -941,13 +868,13 @@ def _check_composite(name: str, reg: Mapping[str, Any]) -> None:
             f" composable wrapper prefixes are {wrappers}"
         )
     leaf = parts[-1]
-    if leaf not in reg:
+    if leaf not in BACKENDS:
         raise ValueError(
             f"unknown leaf backend {leaf!r} in composite backend {name!r};"
-            f" choose from {sorted(reg)}"
+            f" choose from {sorted(BACKENDS)}"
         )
     for outer, inner in zip(parts, parts[1:]):
-        if outer == "supervised" and inner in WRAPPER_BACKENDS and inner in reg:
+        if outer == "supervised" and inner in WRAPPER_BACKENDS:
             raise ValueError(
                 f"wrapper {inner!r} cannot sit under 'supervised' in composite"
                 f" backend {name!r}: 'supervised' drives its inner backend's"
@@ -960,15 +887,12 @@ def create_backend(
     name: str = "serial",
     *,
     workload: Workload | str | None = None,
-    registry: Mapping[str, Any] | None = None,
     **kwargs,
 ) -> Backend:
-    """Factory over a backend registry, by name.
+    """Factory over :data:`BACKENDS`, by name.
 
-    With the default (generic) registry the factory is called with the
-    resolved workload as its first argument; frontend registries (e.g.
-    :data:`repro.perf.batch.BACKENDS`) bind their own workload, so
-    their factories are called with ``kwargs`` only.
+    The factory is called with the resolved workload (the
+    Turing-machine adapter when omitted) as its first argument.
 
     Composite names stack wrapping backends left to right as a generic
     prefix chain: every segment before the last must be a registered
@@ -983,12 +907,11 @@ def create_backend(
     through this same function (wrapper-specific kwargs like
     ``journal_dir`` still pass through ``kwargs``).
     """
-    reg = registry if registry is not None else BACKENDS
-    factory = reg.get(name)
+    factory = BACKENDS.get(name)
     if factory is None and ":" in name:
-        _check_composite(name, reg)
+        _check_composite(name)
         head, _, rest = name.partition(":")
-        factory = reg.get(head)
+        factory = BACKENDS.get(head)
         if factory is not None:
             if "inner" in kwargs:
                 raise ValueError(
@@ -997,11 +920,9 @@ def create_backend(
             kwargs["inner"] = rest
     if factory is None:
         raise ValueError(
-            f"unknown backend {name!r}; choose from {sorted(reg)}"
+            f"unknown backend {name!r}; choose from {sorted(BACKENDS)}"
             " (wrappers compose as 'journaled:<inner>' / 'supervised:<inner>')"
         )
-    if registry is not None:
-        return factory(**kwargs)
     if isinstance(workload, str):
         workload = get_workload(workload)
     elif workload is None:
@@ -1013,22 +934,17 @@ def resolve_backend(
     backend: str | Backend,
     *,
     workload: Workload | str | None = None,
-    registry: Mapping[str, Any] | None = None,
     **kwargs,
 ) -> tuple[Backend, bool]:
     """Resolve ``str | Backend`` to ``(backend, owned)``.
 
-    The single home of the string-resolution logic ``run_many`` and the
-    supervisor paths used to repeat: a name is created through
+    The single home of the string-resolution logic: a name is created through
     :func:`create_backend` (and ``owned=True`` tells the caller to
     close it); an instance passes through untouched — in which case
     backend kwargs are rejected rather than silently dropped.
     """
     if isinstance(backend, str):
-        return (
-            create_backend(backend, workload=workload, registry=registry, **kwargs),
-            True,
-        )
+        return create_backend(backend, workload=workload, **kwargs), True
     if kwargs:
         raise ValueError("backend kwargs only apply when backend is a name")
     return backend, False
@@ -1045,8 +961,7 @@ def run_jobs(
 ) -> list[Any]:
     """Run every ``(program, input)`` job; results keep job order.
 
-    The workload-generic face of :func:`repro.perf.batch.run_many`:
-    each result equals what ``workload.run_direct(program, input,
+    Each result equals what ``workload.run_direct(program, input,
     fuel)`` would return — the runtime changes the cost, never the
     answer.  Equal jobs (by ``content_key``) share one result object;
     workload purity makes sharing exact.  The one exception is the
@@ -1072,7 +987,7 @@ def run_jobs(
             results = backend.execute(jobs, fuel=fuel, compiled=compiled, cache=cache)
             if OBS.enabled:
                 labels = {"workload": workload.kind, "backend": backend.name}
-                summary = getattr(backend, "last_dispatch", None)
+                summary = getattr(backend, "last_dispatch", None) or {"jobs": len(jobs)}
                 total_cost = sum(workload.cost(r) for r in results if r is not None)
                 # One atomic burst per run: a concurrent snapshot sees
                 # all three runtime_* series updated or none of them.
@@ -1081,23 +996,10 @@ def run_jobs(
                     OBS.count("runtime_cost_total", total_cost, **labels)
                     OBS.count(
                         "runtime_unique_jobs_total",
-                        summary.get("unique_jobs", len(jobs)) if summary else len(jobs),
+                        summary.get("unique_jobs", len(jobs)),
                         **labels,
                     )
-                if summary:
-                    OBS.event(
-                        "runtime.dispatch_summary",
-                        workload=workload.kind,
-                        backend=backend.name,
-                        **summary,
-                    )
-                else:
-                    OBS.event(
-                        "runtime.dispatch_summary",
-                        workload=workload.kind,
-                        backend=backend.name,
-                        jobs=len(jobs),
-                    )
+                OBS.event("runtime.dispatch_summary", **labels, **summary)
     finally:
         if owned:
             close = getattr(backend, "close", None)

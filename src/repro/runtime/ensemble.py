@@ -59,7 +59,7 @@ from repro.runtime.core import (
     intern_jobs,
     run_job_loop,
 )
-from repro.runtime.lifecycle import ChunkSettler, enter_close, mark_open
+from repro.runtime.lifecycle import ChunkSettler, dispatch_summary, enter_close, mark_open
 from repro.runtime.workload import Job, Workload
 
 __all__ = [
@@ -386,18 +386,13 @@ class EnsembleBackend:
             "misses": stats["misses"],
             "size": stats["size"],
         }
-        self.last_dispatch = {
-            "jobs": len(jobs),
-            "unique_jobs": stats["unique_jobs"],
-            "deduped": stats["deduped"],
-            "chunks": 1 if jobs else 0,
-            "steals": 0,
-            "payload_bytes": 0,
-            "warm_hits": 0,
-            "memo_hits": 0,
-            "ensemble_jobs": stats["ensemble_jobs"],
-            "fallback_jobs": stats["fallback_jobs"],
-        }
+        self.last_dispatch = dispatch_summary(
+            len(jobs),
+            stats["unique_jobs"],
+            chunks=1 if jobs else 0,
+            ensemble_jobs=stats["ensemble_jobs"],
+            fallback_jobs=stats["fallback_jobs"],
+        )
         if cache is not None:
             cache.absorb(self.last_cache_stats)
         if OBS.enabled:
@@ -749,20 +744,16 @@ class EnsembleProcessBackend:
             "misses": aggregate["misses"],
             "size": aggregate["size"],
         }
-        self.last_dispatch = {
-            "jobs": len(jobs),
-            "unique_jobs": len(unique),
-            "deduped": deduped,
-            "chunks": len(shards),
-            "steals": 0,
-            "payload_bytes": payload_bytes,
-            "warm_hits": 0,
-            "memo_hits": 0,
-            "ensemble_jobs": aggregate["ensemble_jobs"],
-            "fallback_jobs": aggregate["fallback_jobs"],
-            "result_payload_bytes": aggregate["result_bytes"],
-            "shm_bytes": shm_bytes,
-        }
+        self.last_dispatch = dispatch_summary(
+            len(jobs),
+            len(unique),
+            chunks=len(shards),
+            payload_bytes=payload_bytes,
+            ensemble_jobs=aggregate["ensemble_jobs"],
+            fallback_jobs=aggregate["fallback_jobs"],
+            result_payload_bytes=aggregate["result_bytes"],
+            shm_bytes=shm_bytes,
+        )
         if cache is not None:
             cache.absorb(self.last_cache_stats)
         if OBS.enabled:

@@ -469,20 +469,20 @@ class JournaledBackend:
             self.last_cache_stats = dict(
                 getattr(self.inner, "last_cache_stats", _core._ZERO_STATS)
             )
-            self.last_dispatch = {
-                "jobs": len(jobs),
-                "unique_jobs": len(pending) + served + dead_served,
-                "deduped": len(jobs) - len(set(digests)),
-                "chunks": inner_dispatch.get("chunks", 0),
-                "steals": inner_dispatch.get("steals", 0),
-                "payload_bytes": inner_dispatch.get("payload_bytes", 0),
-                "warm_hits": inner_dispatch.get("warm_hits", 0),
-                "memo_hits": inner_dispatch.get("memo_hits", 0),
-                "journal_hits": served,
-                "journal_dead_hits": dead_served,
-                "journal_commits": commits,
-                "journal_records": self.journal.appends - appended,
-            }
+            self.last_dispatch = _lifecycle.dispatch_summary(
+                len(jobs),
+                len(pending) + served + dead_served,
+                deduped=len(jobs) - len(set(digests)),
+                chunks=inner_dispatch.get("chunks", 0),
+                steals=inner_dispatch.get("steals", 0),
+                payload_bytes=inner_dispatch.get("payload_bytes", 0),
+                warm_hits=inner_dispatch.get("warm_hits", 0),
+                memo_hits=inner_dispatch.get("memo_hits", 0),
+                journal_hits=served,
+                journal_dead_hits=dead_served,
+                journal_commits=commits,
+                journal_records=self.journal.appends - appended,
+            )
         return out
 
     def _commit(

@@ -20,11 +20,15 @@ This module is that state machine extracted once.  The session
 scheduler (:mod:`repro.runtime.session`) drives the same pieces for
 its micro-batched flush units, so "one chunk's life" means the same
 thing whether it was born from a one-shot ``execute()`` or a stream of
-``Session.submit()`` calls.
+``Session.submit()`` calls.  It also holds the master-side
+:class:`ProgramTable` the pool and dist backends share and
+:func:`dispatch_summary`, the one builder of every backend's
+``last_dispatch``.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -35,7 +39,9 @@ from repro.obs.telemetry import absorb_chunk_telemetry
 __all__ = [
     "ChunkPlan",
     "ChunkSettler",
+    "ProgramTable",
     "chunk_offsets",
+    "dispatch_summary",
     "plan_chunks",
     "enter_close",
     "mark_open",
@@ -165,6 +171,144 @@ class ChunkSettler:
                 self.aggregate["size"] = max(self.aggregate["size"], stats.get("size", 0))
             else:
                 self.aggregate[key] += stats.get(key, 0)
+
+
+# ---------------------------------------------------------------------------
+# Reporting
+# ---------------------------------------------------------------------------
+
+
+def dispatch_summary(jobs: int, unique_jobs: int, **extras: Any) -> dict[str, Any]:
+    """One backend's ``last_dispatch`` mapping.
+
+    Every backend reports the same eight fields: ``jobs``,
+    ``unique_jobs``, ``deduped`` (their difference unless given) and
+    ``chunks``/``steals``/``payload_bytes``/``warm_hits``/``memo_hits``
+    (zero unless given).  ``extras`` override those defaults and append
+    the backend's own fields after them, in the order given.
+    """
+    summary: dict[str, Any] = {
+        "jobs": jobs,
+        "unique_jobs": unique_jobs,
+        "deduped": jobs - unique_jobs,
+        "chunks": 0,
+        "steals": 0,
+        "payload_bytes": 0,
+        "warm_hits": 0,
+        "memo_hits": 0,
+    }
+    summary.update(extras)
+    return summary
+
+
+# ---------------------------------------------------------------------------
+# Master-side intern state
+# ---------------------------------------------------------------------------
+
+
+class ProgramTable:
+    """The master's program registry, cost model and warm result memo.
+
+    * **Registry.**  :meth:`register` interns a program by the
+      workload's ``program_key`` to a compact id; ``known`` keeps
+      ``id -> (key, program)`` in LRU order, bounded by ``table_size``,
+      for re-seeding workers or nodes.
+    * **Cost model.**  A per-program EWMA of ``workload.cost(result)``
+      that sizes adaptive dispatch spans.
+    * **Result memo.**  Settled results keyed by
+      ``(id, input, fuel, compiled)``, bounded by ``memo_size``
+      (``0`` disables it), so a warm backend answers repeated jobs
+      without dispatching them.
+
+    What was seeded where stays with the backend: :meth:`register`
+    returns the id it evicted, if any, for the caller to forget.
+    """
+
+    def __init__(self, workload: Any, *, table_size: int, memo_size: int) -> None:
+        if memo_size < 0:
+            raise ValueError("memo_size must be >= 0")
+        if table_size < 1:
+            raise ValueError("table_size must be >= 1")
+        self.workload = workload
+        self.table_size = table_size
+        self.memo_size = memo_size
+        self.ids: dict[Any, int] = {}
+        self.known: OrderedDict[int, tuple[Any, Any]] = OrderedDict()
+        self.memo: OrderedDict[tuple, Any] = OrderedDict()
+        self.cost: dict[int, float] = {}
+        self._next_id = 0
+
+    def register(self, program: Any) -> tuple[int, int | None]:
+        """Intern a program: ``(program id, evicted id or None)``."""
+        key = self.workload.program_key(program)
+        pid = self.ids.get(key)
+        if pid is None:
+            pid = self._next_id
+            self._next_id += 1
+            self.ids[key] = pid
+        self.known[pid] = (key, program)
+        self.known.move_to_end(pid)
+        if len(self.known) <= self.table_size:
+            return pid, None
+        old_pid, (old_key, _) = self.known.popitem(last=False)
+        self.ids.pop(old_key, None)
+        self.cost.pop(old_pid, None)
+        return pid, old_pid
+
+    def estimate(self, pid: int) -> float:
+        """Estimated relative cost of one job of program ``pid``."""
+        est = self.cost.get(pid)
+        if est is not None:
+            return max(est, 1.0)
+        if self.cost:
+            return max(sum(self.cost.values()) / len(self.cost), 1.0)
+        return 1.0
+
+    def observe_cost(self, pid: int, cost: float) -> None:
+        self.cost[pid] = 0.5 * self.cost.get(pid, float(cost)) + 0.5 * cost
+
+    def recall(
+        self, pids: Sequence[int], unique: Sequence, fuel: int, compiled: bool
+    ) -> tuple[list[Any], list[int]]:
+        """Memo lookup: ``(unique_results, pending)``.
+
+        ``unique_results[u]`` holds the memoed result of unique job
+        ``u`` or ``None``; ``pending`` lists the ``u`` still to run.
+        """
+        unique_results: list[Any] = [None] * len(unique)
+        pending: list[int] = []
+        for u, (pid, (_, input)) in enumerate(zip(pids, unique)):
+            key = (pid, input, fuel, compiled)
+            memoed = self.memo.get(key)
+            if memoed is not None:
+                self.memo.move_to_end(key)
+                unique_results[u] = memoed
+            else:
+                pending.append(u)
+        return unique_results, pending
+
+    def remember(
+        self,
+        pids: Sequence[int],
+        unique: Sequence,
+        unique_results: Sequence[Any],
+        fuel: int,
+        compiled: bool,
+    ) -> None:
+        """Store a settled batch's results, evicting past ``memo_size``."""
+        if self.memo_size:
+            for pid, (_, input), result in zip(pids, unique, unique_results):
+                if result is not None:
+                    self.memo[(pid, input, fuel, compiled)] = result
+        while len(self.memo) > self.memo_size:
+            self.memo.popitem(last=False)
+
+    def clear(self) -> None:
+        """Forget every program, cost and memoed result."""
+        self.ids.clear()
+        self.known.clear()
+        self.memo.clear()
+        self.cost.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@
 programs are :class:`~repro.machines.turing.TuringMachine` instances,
 inputs are tapes, ``prepare`` lowers through
 :func:`repro.perf.engine.compile_tm` and ``run_direct`` is the
-reference interpreter — so everything :func:`repro.perf.batch.run_many`
-promised (byte-identical results, compiled-or-fallback execution)
-holds by construction.
+reference interpreter — so ``run_jobs("machines", jobs)`` returns
+byte-identical results to ``machine.run(tape)``, compiled or through
+the fallback, by construction.
 
 ``ENCODED_MACHINES`` is the same machine family one abstraction level
 down: programs are *description strings* in the universal machine's

@@ -15,7 +15,8 @@ from repro.faults.chaos import (
 )
 from repro.machines.turing import binary_increment, copier, palindrome_checker
 from repro.machines.universal import decode_tm, encode_tm
-from repro.perf.batch import SerialBackend, run_many
+from repro.runtime import SerialBackend, run_jobs
+from repro.runtime.workloads.machines import MACHINES
 
 JOBS = [
     (binary_increment(), "1011"),
@@ -76,13 +77,13 @@ def test_schedule_validation():
 
 
 def test_valid_payload_accepts_real_chunk():
-    payload = SerialBackend().submit_chunk(JOBS, fuel=1000, compiled=True).result()
+    payload = SerialBackend(MACHINES).submit_chunk(JOBS, fuel=1000, compiled=True).result()
     assert valid_payload(payload, len(JOBS))
 
 
 def test_valid_payload_rejects_corruption():
     results, stats, elapsed = (
-        SerialBackend().submit_chunk(JOBS, fuel=1000, compiled=True).result()
+        SerialBackend(MACHINES).submit_chunk(JOBS, fuel=1000, compiled=True).result()
     )
     assert not valid_payload((results[:-1], stats, elapsed), len(JOBS))  # truncated
     assert not valid_payload((results + ["junk"], stats, elapsed), len(JOBS) + 1)
@@ -94,27 +95,27 @@ def test_valid_payload_rejects_corruption():
 
 
 def test_chaos_backend_passthrough_when_fault_free():
-    chaos = ChaosBackend(SerialBackend())
-    assert run_many(JOBS, backend=chaos) == reference_results(JOBS)
+    chaos = ChaosBackend(SerialBackend(MACHINES))
+    assert run_jobs("machines", JOBS, backend=chaos) == reference_results(JOBS)
     assert chaos.last_cache_stats["misses"] > 0
     assert chaos.injected == {kind: 0 for kind in FAULT_KINDS}
 
 
 def test_chaos_backend_crash_aborts_unsupervised_batch():
-    chaos = ChaosBackend(SerialBackend(), schedule=ChaosSchedule(kinds={0: "crash"}))
+    chaos = ChaosBackend(SerialBackend(MACHINES), schedule=ChaosSchedule(kinds={0: "crash"}))
     with pytest.raises(WorkerCrash):
         chaos.execute(JOBS, fuel=1000, compiled=True)
     assert chaos.injected["crash"] == 1
 
 
 def test_chaos_backend_timeout_aborts_unsupervised_batch():
-    chaos = ChaosBackend(SerialBackend(), schedule=ChaosSchedule(kinds={0: "timeout"}))
+    chaos = ChaosBackend(SerialBackend(MACHINES), schedule=ChaosSchedule(kinds={0: "timeout"}))
     with pytest.raises(ChunkTimeout):
         chaos.execute(JOBS, fuel=1000, compiled=True)
 
 
 def test_chaos_backend_corruption_aborts_unsupervised_batch():
-    chaos = ChaosBackend(SerialBackend(), schedule=ChaosSchedule(kinds={0: "corrupt"}))
+    chaos = ChaosBackend(SerialBackend(MACHINES), schedule=ChaosSchedule(kinds={0: "corrupt"}))
     with pytest.raises(ChunkCorruption):
         chaos.execute(JOBS, fuel=1000, compiled=True)
 
@@ -123,7 +124,7 @@ def test_poison_matched_by_content_not_identity():
     machine, tape = JOBS[0]
     clone = (decode_tm(encode_tm(machine)), tape)  # equal content, new object
     assert job_key(clone) == job_key(JOBS[0])
-    chaos = ChaosBackend(SerialBackend(), poison_jobs=[clone])
+    chaos = ChaosBackend(SerialBackend(MACHINES), poison_jobs=[clone])
     with pytest.raises(WorkerCrash):
         chaos.execute(JOBS, fuel=1000, compiled=True)
     assert chaos.injected["crash"] >= 1
@@ -156,7 +157,7 @@ def test_kill_action_seam_observes_the_kill():
 
     seen = []
     chaos = ChaosBackend(
-        SerialBackend(),
+        SerialBackend(MACHINES),
         schedule=ChaosSchedule(kinds={0: "kill"}),
         kill_action=seen.append,
     )
@@ -171,7 +172,7 @@ def test_kill_action_seam_observes_the_kill():
 def test_kill_code_override_reaches_the_action():
     seen = []
     chaos = ChaosBackend(
-        SerialBackend(),
+        SerialBackend(MACHINES),
         schedule=ChaosSchedule(kinds={0: "kill"}),
         kill_action=seen.append,
         kill_code=9,
@@ -187,7 +188,7 @@ def test_supervisor_survives_observed_kill():
     from repro.faults.supervisor import SupervisedBackend, SupervisorPolicy
 
     chaos = ChaosBackend(
-        SerialBackend(),
+        SerialBackend(MACHINES),
         schedule=ChaosSchedule(kinds={0: "kill"}),
         kill_action=lambda code: None,
     )

@@ -14,14 +14,15 @@ from repro.faults.supervisor import (
 from repro.machines.busybeaver import busy_beaver_machine
 from repro.machines.turing import TuringMachine, binary_increment, copier, palindrome_checker
 from repro.obs.instrument import observed
-from repro.perf.batch import (
+from repro.runtime import (
     BACKENDS,
-    CompileCache,
     ProcessBackend,
+    ResidentCache,
     SerialBackend,
     create_backend,
-    run_many,
+    run_jobs,
 )
+from repro.runtime.workloads.machines import MACHINES
 
 # Twelve distinct jobs (no duplicate content: poison matching is by content).
 JOBS = (
@@ -40,7 +41,7 @@ CLEAN = [machine.run(tape) for machine, tape in JOBS]
 
 def chaotic(schedule=None, poison=(), **policy_kwargs):
     """A supervisor over a chaos-wrapped serial backend."""
-    inner = ChaosBackend(SerialBackend(), schedule=schedule, poison_jobs=poison)
+    inner = ChaosBackend(SerialBackend(MACHINES), schedule=schedule, poison_jobs=poison)
     return SupervisedBackend(inner=inner, policy=SupervisorPolicy(**policy_kwargs))
 
 
@@ -48,8 +49,8 @@ def chaotic(schedule=None, poison=(), **policy_kwargs):
 
 
 def test_fault_free_supervised_serial_matches_clean():
-    backend = SupervisedBackend(inner=SerialBackend(), policy=SupervisorPolicy(chunksize=3))
-    assert run_many(JOBS, backend=backend) == CLEAN
+    backend = SupervisedBackend(inner=SerialBackend(MACHINES), policy=SupervisorPolicy(chunksize=3))
+    assert run_jobs("machines", JOBS, backend=backend) == CLEAN
     report = backend.last_report
     assert report.chunks == 4
     assert report.retries == report.hedges == report.pool_restarts == 0
@@ -58,17 +59,17 @@ def test_fault_free_supervised_serial_matches_clean():
 
 def test_fault_free_supervised_process_matches_clean():
     backend = SupervisedBackend(
-        inner=ProcessBackend(workers=2), policy=SupervisorPolicy(chunksize=4)
+        inner=ProcessBackend(MACHINES, workers=2), policy=SupervisorPolicy(chunksize=4)
     )
-    assert run_many(JOBS, backend=backend) == CLEAN
+    assert run_jobs("machines", JOBS, backend=backend) == CLEAN
     assert backend.last_report.quarantined == []
 
 
 def test_supervised_aggregates_cache_stats():
-    backend = SupervisedBackend(inner=SerialBackend(), policy=SupervisorPolicy(chunksize=6))
-    cache = CompileCache()
+    backend = SupervisedBackend(inner=SerialBackend(MACHINES), policy=SupervisorPolicy(chunksize=6))
+    cache = ResidentCache(MACHINES)
     jobs = [(binary_increment(), "1" * (i + 1)) for i in range(12)]
-    run_many(jobs, backend=backend, cache=cache)
+    run_jobs("machines", jobs, backend=backend, cache=cache)
     # Two chunks, each compiling the one distinct machine once.
     assert backend.last_cache_stats["misses"] == 2
     assert backend.last_cache_stats["hits"] == 10
@@ -76,7 +77,7 @@ def test_supervised_aggregates_cache_stats():
 
 
 def test_supervised_empty_batch():
-    backend = SupervisedBackend(inner=SerialBackend())
+    backend = SupervisedBackend(inner=SerialBackend(MACHINES))
     assert backend.execute([], fuel=100, compiled=True) == []
 
 
@@ -86,7 +87,7 @@ def test_supervised_factory_and_registry():
     assert isinstance(backend, SupervisedBackend)
     assert isinstance(backend.inner, SerialBackend)
     with pytest.raises(ValueError):
-        SupervisedBackend(inner=SerialBackend(), workers=2)  # kwargs need a name
+        SupervisedBackend(inner=SerialBackend(MACHINES), workers=2)  # kwargs need a name
     with pytest.raises(TypeError):
         SupervisedBackend(inner=object())
 
@@ -109,7 +110,7 @@ def test_policy_validation():
 
 def test_crash_is_retried_and_pool_restarted():
     backend = chaotic(ChaosSchedule(kinds={0: "crash"}), chunksize=3)
-    assert run_many(JOBS, backend=backend) == CLEAN
+    assert run_jobs("machines", JOBS, backend=backend) == CLEAN
     report = backend.last_report
     assert report.retries == 1
     assert report.pool_restarts == 1
@@ -119,14 +120,14 @@ def test_crash_is_retried_and_pool_restarted():
 
 def test_timeout_is_retried_after_deadline():
     backend = chaotic(ChaosSchedule(kinds={1: "timeout"}), chunksize=3, chunk_timeout=0.05)
-    assert run_many(JOBS, backend=backend) == CLEAN
+    assert run_jobs("machines", JOBS, backend=backend) == CLEAN
     assert backend.last_report.retries == 1
     assert backend.last_report.pool_restarts == 0  # a hang is not a crash
 
 
 def test_corruption_is_retried():
     backend = chaotic(ChaosSchedule(kinds={2: "corrupt"}), chunksize=3)
-    assert run_many(JOBS, backend=backend) == CLEAN
+    assert run_jobs("machines", JOBS, backend=backend) == CLEAN
     assert backend.last_report.retries == 1
 
 
@@ -137,7 +138,7 @@ def test_hedge_beats_hung_chunk():
         chunk_timeout=5.0,
         hedge_delay=0.02,
     )
-    assert run_many(JOBS, backend=backend) == CLEAN
+    assert run_jobs("machines", JOBS, backend=backend) == CLEAN
     report = backend.last_report
     assert report.hedges == 1
     assert report.retries == 0  # the hedge settled the chunk before its deadline
@@ -151,7 +152,7 @@ def test_poison_job_quarantined_by_bisection():
         max_chunk_retries=1,
         max_pool_restarts=100,
     )
-    results = run_many(JOBS, backend=backend)
+    results = run_jobs("machines", JOBS, backend=backend)
     assert results[poison_index] is None
     assert all(results[i] == CLEAN[i] for i in range(len(JOBS)) if i != poison_index)
     report = backend.last_report
@@ -165,7 +166,7 @@ def test_poison_job_quarantined_by_bisection():
 
 def test_every_dispatch_crashing_degrades_to_serial():
     backend = chaotic(ChaosSchedule(rates={"crash": 1.0}, seed=0), chunksize=3, max_pool_restarts=3)
-    assert run_many(JOBS, backend=backend) == CLEAN  # the batch still finishes
+    assert run_jobs("machines", JOBS, backend=backend) == CLEAN  # the batch still finishes
     report = backend.last_report
     assert report.degraded
     assert report.pool_restarts == 4  # budget of 3, the 4th tripped degradation
@@ -184,7 +185,7 @@ def test_mixed_chaos_run_equals_clean_run():
         hedge_delay=0.02,
         max_pool_restarts=100,
     )
-    results = run_many(JOBS, backend=backend)
+    results = run_jobs("machines", JOBS, backend=backend)
     assert all(results[i] == CLEAN[i] for i in range(len(JOBS)) if i != poison_index)
     assert results[poison_index] is None
     assert backend.last_report.quarantined_indices == [poison_index]
@@ -200,7 +201,7 @@ def test_supervised_metrics_recorded():
         max_pool_restarts=100,
     )
     with observed() as obs:
-        run_many(JOBS, backend=backend)
+        run_jobs("machines", JOBS, backend=backend)
     assert obs.registry.total("batch_chunk_retries_total") >= 1
     assert obs.registry.total("batch_quarantined_jobs") == 1
     assert obs.registry.total("batch_pool_restarts_total") >= 1
@@ -211,15 +212,15 @@ def test_hedge_metric_recorded():
         ChaosSchedule(kinds={0: "timeout"}), chunksize=3, chunk_timeout=5.0, hedge_delay=0.02
     )
     with observed() as obs:
-        run_many(JOBS, backend=backend)
+        run_jobs("machines", JOBS, backend=backend)
     assert obs.registry.total("batch_hedged_total") == 1
 
 
 def test_report_reset_between_runs():
     backend = chaotic(ChaosSchedule(kinds={0: "crash"}), chunksize=3)
-    run_many(JOBS, backend=backend)
+    run_jobs("machines", JOBS, backend=backend)
     assert backend.last_report.retries == 1
-    run_many(JOBS, backend=backend)  # schedule slots 4+: fault-free now
+    run_jobs("machines", JOBS, backend=backend)  # schedule slots 4+: fault-free now
     assert backend.last_report.retries == 0
     assert isinstance(backend.last_report, SupervisionReport)
 
@@ -243,11 +244,11 @@ def test_real_broken_process_pool_quarantine_and_recovery():
     """An os._exit in a worker raises BrokenProcessPool; the supervisor
     restarts the pool, quarantines the job, and the backend still works."""
     backend = SupervisedBackend(
-        inner=ProcessBackend(workers=2),
+        inner=ProcessBackend(MACHINES, workers=2),
         policy=SupervisorPolicy(chunksize=1, max_chunk_retries=1, max_pool_restarts=50),
     )
     jobs = [(poison_machine(), "1")]
-    results = run_many(jobs, backend=backend, compiled=False)
+    results = run_jobs("machines", jobs, backend=backend, compiled=False)
     assert results == [None]
     report = backend.last_report
     assert report.quarantined_indices == [0]
@@ -255,7 +256,7 @@ def test_real_broken_process_pool_quarantine_and_recovery():
     assert not report.degraded
     # The same backend instance recovers for the next, healthy batch.
     healthy = JOBS[:4]
-    assert run_many(healthy, backend=backend, compiled=False) == CLEAN[:4]
+    assert run_jobs("machines", healthy, backend=backend, compiled=False) == CLEAN[:4]
     assert backend.last_report.quarantined == []
 
 

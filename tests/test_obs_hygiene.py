@@ -55,8 +55,8 @@ def test_scan_sees_the_multiline_emissions():
     names = {name for name, _, _ in _emitted_metrics()}
     for expected in (
         "runtime_cost_total",
-        "tm_steps_total",
-        "tm_halts_total",
+        "runtime_unique_jobs_total",
+        "journal_hits_total",
         "multicore_core_utilisation",
     ):
         assert expected in names

@@ -2,7 +2,7 @@
 batch, machines, netstack, fault and multicore layers.
 
 The load-bearing invariants: disabled is a no-op, enabling never
-changes answers (property-tested over run_many), and the recorded
+changes answers (property-tested over run_jobs), and the recorded
 numbers agree exactly with the returned results.
 """
 
@@ -24,8 +24,9 @@ from repro.netstack.network import Network
 from repro.obs import OBS, Instrumentation, MetricsRegistry, ObsHook, Tracer, VirtualClock
 from repro.obs.instrument import NULL_SPAN, observed
 from repro.parallel.multicore import Multicore
-from repro.perf.batch import ProcessBackend, run_many
 from repro.perf.engine import compile_tm
+from repro.runtime import ProcessBackend, run_jobs
+from repro.runtime.workloads.machines import MACHINES as TM
 
 MACHINES = [binary_increment, palindrome_checker, copier, unary_adder]
 
@@ -112,30 +113,29 @@ def test_engine_core_is_uninstrumented():
 def test_run_many_steps_counter_is_exact_serial():
     jobs = [(m(), "11") for m in MACHINES] * 3
     with observed() as obs:
-        results = run_many(jobs)
-    assert obs.registry.value("tm_steps_total", backend="serial") == sum(
+        results = run_jobs("machines", jobs)
+    labels = {"workload": "machines", "backend": "serial"}
+    # The machines adapter's cost is the step count.
+    assert obs.registry.value("runtime_cost_total", **labels) == sum(
         r.steps for r in results
     )
-    assert obs.registry.value("tm_jobs_total", backend="serial") == len(jobs)
-    assert obs.registry.value("tm_halts_total", backend="serial") == sum(
-        1 for r in results if r.halted
-    )
+    assert obs.registry.value("runtime_jobs_total", **labels) == len(jobs)
 
 
 def test_run_many_steps_counter_is_exact_process():
     jobs = [(m(), "101") for m in MACHINES] * 4
     with observed() as obs:
-        results = run_many(jobs, backend=ProcessBackend(workers=2, chunksize=4))
-    assert obs.registry.value("tm_steps_total", backend="process") == sum(
-        r.steps for r in results
-    )
+        results = run_jobs("machines", jobs, backend=ProcessBackend(TM, workers=2, chunksize=4))
+    assert obs.registry.value(
+        "runtime_cost_total", workload="machines", backend="process"
+    ) == sum(r.steps for r in results)
 
 
 def test_run_many_span_tree():
     with observed(tracer=Tracer(clock=VirtualClock(tick=1.0))) as obs:
-        run_many([(binary_increment(), "1")])
+        run_jobs("machines", [(binary_increment(), "1")])
     (tree,) = obs.tracer.span_trees()
-    assert tree["name"] == "batch.run_many"
+    assert tree["name"] == "runtime.run_jobs"
     assert tree["attributes"]["backend"] == "serial"
     assert [c["name"] for c in tree["children"]] == ["batch.chunk"]
 
@@ -143,10 +143,10 @@ def test_run_many_span_tree():
 def test_batch_records_chunk_durations_and_queue_depth():
     # Distinct tapes: identical jobs would be interned down to one.
     jobs = [(binary_increment(), "1" * (i + 1)) for i in range(16)]
-    backend = ProcessBackend(workers=2, chunksize=4)
+    backend = ProcessBackend(TM, workers=2, chunksize=4)
     try:
         with observed() as obs:
-            run_many(jobs, backend=backend)
+            run_jobs("machines", jobs, backend=backend)
     finally:
         backend.close()
     snap = obs.registry.snapshot()
@@ -169,11 +169,11 @@ def test_traced_run_many_identical_to_untraced(plan, fuel):
     """Property: tracing is observation only — results are unchanged
     and the steps counter equals the sum of per-result steps."""
     jobs = [(MACHINES[i](), "1" * n) for i, n in plan]
-    untraced = run_many(jobs, fuel=fuel)
+    untraced = run_jobs("machines", jobs, fuel=fuel)
     with observed(tracer=Tracer(clock=VirtualClock(tick=1.0))) as obs:
-        traced = run_many(jobs, fuel=fuel)
+        traced = run_jobs("machines", jobs, fuel=fuel)
     assert traced == untraced
-    assert obs.registry.total("tm_steps_total") == sum(r.steps for r in traced)
+    assert obs.registry.total("runtime_cost_total") == sum(r.steps for r in traced)
     assert len(obs.tracer.finished) > 0
 
 
@@ -182,11 +182,11 @@ def test_traced_run_many_identical_to_untraced(plan, fuel):
 
 def test_cache_metrics_recorded_per_backend():
     jobs = [(binary_increment(), "1")] * 6
-    backend = ProcessBackend(workers=2, chunksize=3)
+    backend = ProcessBackend(TM, workers=2, chunksize=3)
     try:
         with observed() as obs:
-            run_many(jobs)
-            run_many(jobs, backend=backend)
+            run_jobs("machines", jobs)
+            run_jobs("machines", jobs, backend=backend)
     finally:
         backend.close()
     assert obs.registry.value("compile_cache_misses_total", backend="serial") == 1

@@ -21,15 +21,16 @@ from repro.machines.turing import (
     unary_adder,
 )
 from repro.obs.instrument import observed
-from repro.perf.batch import (
+from repro.perf.engine import program_key
+from repro.runtime import (
     ProcessBackend,
     ProgramNotResident,
     SerialBackend,
-    _intern_batch,
-    _run_interned_chunk,
-    machine_key,
-    run_many,
+    intern_jobs,
+    run_jobs,
 )
+from repro.runtime.core import _run_workload_chunk
+from repro.runtime.workloads.machines import MACHINES as TM
 
 MACHINES = [binary_increment, palindrome_checker, copier, unary_adder]
 
@@ -72,12 +73,12 @@ def test_intern_batch_reconstructs_every_job(plan):
     """Property: slots map every job to a unique job of identical
     content, and unique jobs are distinct by (program, tape)."""
     jobs = [(MACHINES[i](), "1" * n) for i, n in plan]
-    unique, slots, keys = _intern_batch(jobs)
+    unique, slots, keys = intern_jobs(TM, jobs)
     assert len(slots) == len(jobs)
     assert len(keys) == len(unique)
     for (machine, tape), s in zip(jobs, slots):
         u_machine, u_tape = unique[s]
-        assert machine_key(machine) == machine_key(u_machine)
+        assert program_key(machine) == program_key(u_machine)
         assert tape == u_tape
     seen = {(key, tape) for key, (_, tape) in zip(keys, unique)}
     assert len(seen) == len(unique)  # unique really is unique
@@ -97,10 +98,10 @@ def test_adaptive_process_matches_serial_property(plan):
     all.  One pool serves every example — that *is* the warm path."""
     global _PROPERTY_BACKEND
     if _PROPERTY_BACKEND is None:
-        _PROPERTY_BACKEND = ProcessBackend(workers=2)
+        _PROPERTY_BACKEND = ProcessBackend(TM, workers=2)
     jobs = [(MACHINES[i](), "1" * n) for i, n in plan]
-    expected = run_many(jobs, backend=SerialBackend())
-    assert run_many(jobs, backend=_PROPERTY_BACKEND) == expected
+    expected = run_jobs("machines", jobs, backend=SerialBackend(TM))
+    assert run_jobs("machines", jobs, backend=_PROPERTY_BACKEND) == expected
 
 
 _PROPERTY_BACKEND: ProcessBackend | None = None
@@ -117,10 +118,10 @@ def teardown_module():
 def test_seeded_program_ships_at_most_once_per_worker():
     machine = counting_machine()
     jobs = [(machine, "1" * (i + 1)) for i in range(12)]
-    backend = ProcessBackend(workers=2)
+    backend = ProcessBackend(TM, workers=2)
     try:
         CountingMachine.pickles = 0
-        results = run_many(jobs, backend=backend)
+        results = run_jobs("machines", jobs, backend=backend)
         assert results == reference_results(jobs)
         # The program is registered before the pool exists, so it is
         # seeded through the pool initializer: at most one pickle per
@@ -133,13 +134,13 @@ def test_seeded_program_ships_at_most_once_per_worker():
 
 
 def test_late_program_ships_at_most_once_per_chunk():
-    backend = ProcessBackend(workers=2, chunksize=3)
+    backend = ProcessBackend(TM, workers=2, chunksize=3)
     try:
-        backend.warm(machines=[palindrome_checker()])  # pool exists now
+        backend.warm(programs=[palindrome_checker()])  # pool exists now
         machine = counting_machine()
         jobs = [(machine, "1" * (i + 1)) for i in range(9)]
         CountingMachine.pickles = 0
-        results = run_many(jobs, backend=backend)
+        results = run_jobs("machines", jobs, backend=backend)
         assert results == reference_results(jobs)
         # Discovered after warm-up, the program rides inside chunk
         # payloads — once per chunk however many jobs reference it.
@@ -149,13 +150,13 @@ def test_late_program_ships_at_most_once_per_chunk():
 
 
 def test_warm_is_idempotent_and_returns_self():
-    backend = ProcessBackend(workers=2)
+    backend = ProcessBackend(TM, workers=2)
     try:
         assert backend.warm(jobs=[(binary_increment(), "1")]) is backend
         generation = backend.generation
         backend.warm(jobs=[(binary_increment(), "11")])  # same program: no rebuild
         assert backend.generation == generation
-        backend.warm(machines=[copier()])  # new program: rebuild, re-seeded
+        backend.warm(programs=[copier()])  # new program: rebuild, re-seeded
         assert backend.generation == generation + 1
     finally:
         backend.close()
@@ -165,14 +166,14 @@ def test_warm_is_idempotent_and_returns_self():
 
 
 def test_warm_memo_answers_repeats_without_the_pool():
-    backend = ProcessBackend(workers=2)
+    backend = ProcessBackend(TM, workers=2)
     try:
         jobs = [(m(), "101") for m in MACHINES] * 2
-        first = run_many(jobs, backend=backend)
+        first = run_jobs("machines", jobs, backend=backend)
         assert backend.last_dispatch["warm_hits"] == 0
         assert backend.last_dispatch["memo_hits"] == 0
         with observed() as obs:
-            second = run_many(jobs, backend=backend)
+            second = run_jobs("machines", jobs, backend=backend)
         assert second == first
         summary = backend.last_dispatch
         assert summary["warm_hits"] == len(jobs)
@@ -187,13 +188,14 @@ def test_warm_memo_answers_repeats_without_the_pool():
 
 
 def test_invalidate_drops_memo_and_tables():
-    backend = ProcessBackend(workers=2)
+    backend = ProcessBackend(TM, workers=2)
     try:
         jobs = [(binary_increment(), "1" * (i + 1)) for i in range(4)]
-        first = run_many(jobs, backend=backend)
+        first = run_jobs("machines", jobs, backend=backend)
         backend.invalidate()
-        assert backend._memo == {} and backend._known == {} and backend._cost == {}
-        again = run_many(jobs, backend=backend)  # rebuilt from nothing
+        table = backend._table
+        assert table.memo == {} and table.known == {} and table.cost == {}
+        again = run_jobs("machines", jobs, backend=backend)  # rebuilt from nothing
         assert again == first
         assert backend.last_dispatch["warm_hits"] == 0
     finally:
@@ -201,16 +203,16 @@ def test_invalidate_drops_memo_and_tables():
 
 
 def test_recover_bumps_generation_and_reseeds():
-    backend = ProcessBackend(workers=2)
+    backend = ProcessBackend(TM, workers=2)
     try:
         jobs = [(copier(), "1" * (i + 1)) for i in range(4)]
-        first = run_many(jobs, backend=backend)
+        first = run_jobs("machines", jobs, backend=backend)
         generation = backend.generation
         backend.recover()
         fresh_jobs = [(copier(), "11" * (i + 3)) for i in range(4)]  # dodge the memo
-        assert run_many(fresh_jobs, backend=backend) == reference_results(fresh_jobs)
+        assert run_jobs("machines", fresh_jobs, backend=backend) == reference_results(fresh_jobs)
         assert backend.generation == generation + 1
-        assert run_many(jobs, backend=backend) == first  # memo survives recover
+        assert run_jobs("machines", jobs, backend=backend) == first  # memo survives recover
     finally:
         backend.close()
 
@@ -220,24 +222,24 @@ def test_stale_generation_payload_resets_worker_table():
     # be served by tables installed for generation 1.
     machine = binary_increment()
     key_jobs = [(0, "1")]
-    old = _run_interned_chunk((1, key_jobs, {0: machine}, 10_000, True))
-    fresh = _run_interned_chunk((2, key_jobs, {0: machine}, 10_000, True))
+    old = _run_workload_chunk((TM, 1, key_jobs, {0: machine}, 10_000, True))
+    fresh = _run_workload_chunk((TM, 2, key_jobs, {0: machine}, 10_000, True))
     assert old[0] == fresh[0]
     assert fresh[1]["misses"] == 1  # recompiled: the gen-1 table was dropped
 
 
 def test_worker_rejects_unknown_program_id():
     with pytest.raises(ProgramNotResident):
-        _run_interned_chunk((7, [(99, "1")], {}, 10_000, True))
+        _run_workload_chunk((TM, 7, [(99, "1")], {}, 10_000, True))
     with pytest.raises(ProgramNotResident):
-        _run_interned_chunk((7, [(99, "1")], {}, 10_000, False))
+        _run_workload_chunk((TM, 7, [(99, "1")], {}, 10_000, False))
 
 
 def test_fork_pid_guard_rebuilds_pool():
-    backend = ProcessBackend(workers=2)
+    backend = ProcessBackend(TM, workers=2)
     try:
         jobs = [(binary_increment(), "1" * (i + 1)) for i in range(4)]
-        run_many(jobs, backend=backend)
+        run_jobs("machines", jobs, backend=backend)
         old_pool = backend._pool
         generation = backend.generation
         # Simulate waking up inside an os.fork() child: the recorded
@@ -246,7 +248,7 @@ def test_fork_pid_guard_rebuilds_pool():
         # build a fresh pool under a new generation.
         backend._owner_pid = backend._owner_pid - 1
         fresh_jobs = [(binary_increment(), "10" * (i + 4)) for i in range(4)]
-        assert run_many(fresh_jobs, backend=backend) == reference_results(fresh_jobs)
+        assert run_jobs("machines", fresh_jobs, backend=backend) == reference_results(fresh_jobs)
         assert backend._pool is not old_pool
         assert backend.generation == generation + 1
         assert backend._owner_pid == os.getpid()
@@ -263,10 +265,10 @@ def test_guided_dispatch_chunk_plan_is_deterministic():
     # split depends only on the pop sequence, never on which worker
     # finishes first: 20 jobs over 2 workers pop as
     # 5,4,3,2,2,1,1,1,1 — geometric decay to single-job tails.
-    backend = ProcessBackend(workers=2)
+    backend = ProcessBackend(TM, workers=2)
     try:
         jobs = [(binary_increment(), "1" * (i + 1)) for i in range(20)]
-        results = run_many(jobs, backend=backend)
+        results = run_jobs("machines", jobs, backend=backend)
         assert results == reference_results(jobs)
         summary = backend.last_dispatch
         assert summary["chunks"] == 9
@@ -276,11 +278,11 @@ def test_guided_dispatch_chunk_plan_is_deterministic():
 
 
 def test_steals_and_summary_metrics_recorded():
-    backend = ProcessBackend(workers=2)
+    backend = ProcessBackend(TM, workers=2)
     try:
         jobs = [(m(), "1" * (i + 1)) for i in range(5) for m in MACHINES]
         with observed() as obs:
-            run_many(jobs, backend=backend)
+            run_jobs("machines", jobs, backend=backend)
         summary = backend.last_dispatch
         assert summary["steals"] >= 1
         assert obs.registry.value("batch_steal_total", backend="process") == summary["steals"]
@@ -290,9 +292,9 @@ def test_steals_and_summary_metrics_recorded():
             > 0
         )
         (tree,) = [
-            t for t in obs.tracer.span_trees() if t["name"] == "batch.run_many"
+            t for t in obs.tracer.span_trees() if t["name"] == "runtime.run_jobs"
         ]
-        events = [e for e in tree["events"] if e["name"] == "batch.dispatch_summary"]
+        events = [e for e in tree["events"] if e["name"] == "runtime.dispatch_summary"]
         assert len(events) == 1
         assert events[0]["attributes"]["chunks"] == summary["chunks"]
         assert events[0]["attributes"]["steals"] == summary["steals"]
@@ -301,10 +303,10 @@ def test_steals_and_summary_metrics_recorded():
 
 
 def test_explicit_chunksize_keeps_static_split():
-    backend = ProcessBackend(workers=2, chunksize=4)
+    backend = ProcessBackend(TM, workers=2, chunksize=4)
     try:
         jobs = [(binary_increment(), "1" * (i + 1)) for i in range(8)]
-        run_many(jobs, backend=backend)
+        run_jobs("machines", jobs, backend=backend)
         assert backend.last_dispatch["chunks"] == 2
         assert backend.last_dispatch["steals"] == 0
     finally:
@@ -312,10 +314,11 @@ def test_explicit_chunksize_keeps_static_split():
 
 
 def test_process_reference_mode_uses_resident_sources():
-    backend = ProcessBackend(workers=2)
+    backend = ProcessBackend(TM, workers=2)
     try:
         jobs = [(m(), "11") for m in MACHINES] * 2
-        assert run_many(jobs, backend=backend, compiled=False) == reference_results(jobs)
+        results = run_jobs("machines", jobs, backend=backend, compiled=False)
+        assert results == reference_results(jobs)
         assert backend.last_cache_stats["misses"] == 0  # nothing compiled
     finally:
         backend.close()
@@ -325,9 +328,10 @@ def test_process_uncompilable_machine_falls_back_in_worker():
     symbols = [chr(0x100 + i) for i in range(300)]
     weird = TuringMachine({("s", c): ("s", c, "R") for c in symbols}, "s")
     jobs = [(weird, symbols[0] * 2), (binary_increment(), "11"), (weird, symbols[0] * 2)]
-    backend = ProcessBackend(workers=2)
+    backend = ProcessBackend(TM, workers=2)
     try:
-        assert run_many(jobs, fuel=20, backend=backend) == reference_results(jobs, fuel=20)
+        results = run_jobs("machines", jobs, fuel=20, backend=backend)
+        assert results == reference_results(jobs, fuel=20)
     finally:
         backend.close()
 
@@ -337,17 +341,17 @@ def test_process_uncompilable_machine_falls_back_in_worker():
 
 def test_chunks_rejects_nonpositive_chunksize():
     with pytest.raises(ValueError):
-        ProcessBackend(workers=2, chunksize=0)
+        ProcessBackend(TM, workers=2, chunksize=0)
     with pytest.raises(ValueError):
-        ProcessBackend(workers=2, chunksize=-3)
-    backend = ProcessBackend(workers=2)
+        ProcessBackend(TM, workers=2, chunksize=-3)
+    backend = ProcessBackend(TM, workers=2)
     backend.chunksize = 0  # a mutated attribute must still be caught
     with pytest.raises(ValueError):
         backend._chunks([(binary_increment(), "1")] * 4)
 
 
 def test_chunks_merges_degenerate_trailing_job():
-    backend = ProcessBackend(workers=2, chunksize=2)
+    backend = ProcessBackend(TM, workers=2, chunksize=2)
     jobs = [(binary_increment(), str(i)) for i in range(5)]
     chunks = backend._chunks(jobs)
     assert [len(c) for c in chunks] == [2, 3]  # never a trailing 1-job chunk

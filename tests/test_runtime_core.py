@@ -8,6 +8,8 @@ workload so these tests pin the *generic* contracts; the real adapters
 tests in ``test_runtime_workloads.py``.
 """
 
+import pickle
+
 import pytest
 
 from repro.obs.instrument import KNOWN_METRICS, observed
@@ -303,6 +305,42 @@ def test_supervised_backend_by_name_carries_workload():
         ]
     finally:
         backend.close()
+
+
+# -- the one chunk entry point: serial and process settle alike -------------
+
+
+def _weird_machine_chunk():
+    from repro.machines.turing import TuringMachine, binary_increment
+
+    symbols = [chr(0x100 + i) for i in range(300)]  # too wide to compile
+    weird = TuringMachine({("s", c): ("s", c, "R") for c in symbols}, "s")
+    return [(weird, symbols[0] * 2), (binary_increment(), "11"), (weird, symbols[0])]
+
+
+SUBMIT_CHUNKS = [
+    pytest.param(SCALE, [(2, 1), (3, 4), (2, 5), (2, 1)], True, (2, 2), id="duplicate"),
+    pytest.param(SCALE, [(-2, 3), (4, 1), (-2, 5)], True, (1, 2), id="unpreparable"),
+    pytest.param(SCALE, [(2, 1), (-2, 3), (2, 1)], False, (0, 0), id="direct"),
+    pytest.param("machines", _weird_machine_chunk(), True, (1, 2), id="machines"),
+]
+
+
+@pytest.mark.parametrize("workload,chunk,compiled,tally", SUBMIT_CHUNKS)
+def test_serial_and_process_submit_chunk_settle_alike(workload, chunk, compiled, tally):
+    """Both backends run a chunk through the one worker entry point, so
+    duplicate and unpreparable programs tally the same way: one miss
+    per distinct program, a hit for every later job of it."""
+    workload = get_workload(workload) if isinstance(workload, str) else workload
+    serial = SerialBackend(workload).submit_chunk(chunk, fuel=50, compiled=compiled)
+    backend = ProcessBackend(workload, workers=1)
+    try:
+        pooled = backend.submit_chunk(chunk, fuel=50, compiled=compiled).result()
+    finally:
+        backend.close()
+    results, stats, _ = serial.result()
+    assert pickle.dumps(results) == pickle.dumps(pooled[0])
+    assert (stats["hits"], stats["misses"]) == (pooled[1]["hits"], pooled[1]["misses"]) == tally
 
 
 # -- composite chain validation (full-chain error naming, ordering) ----------

@@ -30,7 +30,7 @@ from repro.machines.turing import (
 from repro.machines.universal import encode_tm
 from repro.obs.instrument import observed
 from repro.obs.report import render
-from repro.runtime import SerialBackend, create_backend
+from repro.runtime import SerialBackend, create_backend, run_jobs
 from repro.runtime.session import BULK, LATENCY, Session
 from repro.runtime.workloads.busybeaver import BUSYBEAVER
 from repro.runtime.workloads.complang import COMPLANG, complang_job
@@ -364,17 +364,14 @@ def test_flush_span_wraps_execution():
     assert "scheduler.flush" in spans
 
 
-# -- the TM front door -------------------------------------------------------
+# -- machines through the one front door ------------------------------------
 
 
 def test_open_session_tm_frontend_matches_run_many():
-    from repro.perf.batch import open_session as open_tm_session
-    from repro.perf.batch import run_many
-
     jobs = _TM_POOL * 2
-    expected = run_many(jobs, fuel=FUEL)
-    with open_tm_session("serial") as tm:
-        got = tm.run_many(jobs, fuel=FUEL)
+    expected = run_jobs("machines", jobs, fuel=FUEL)
+    with Session("serial") as session:
+        got = session.execute("machines", jobs, fuel=FUEL)
     assert pickle.dumps(got) == pickle.dumps(expected)
 
 
