@@ -19,7 +19,11 @@ Acceptance gates:
   beat the per-job reference interpreter by more than twice the old
   2.44x cold-dispatch baseline — the regression tripwire for payload
   interning, the warm result memo, and resident program tables —
-  with results byte-identical to ``SerialBackend``'s.
+  with results byte-identical to ``SerialBackend``'s;
+* every mode: the compiled engine must be no slower than the reference
+  interpreter on ``bb4``, a trivial job (about 100 steps from a blank
+  tape), where per-run fixed costs — tape set-up, the render table,
+  the final strip — are not hidden behind a long hot loop.
 """
 
 from __future__ import annotations
@@ -61,6 +65,9 @@ REQUIRED_STEPS = 100_000
 # clear at least double that, and never less than the engine gate.
 COLD_BASELINE_SPEEDUP = 2.44
 WARM_REQUIRED_SPEEDUP = max(REQUIRED_SPEEDUP, 2 * COLD_BASELINE_SPEEDUP)
+# The trivial-job gate: compiled no slower than the reference.
+TRIVIAL_WORKLOAD = "bb4"
+TRIVIAL_REQUIRED_SPEEDUP = 1.0
 
 
 def parity_dfa() -> DFA:
@@ -107,8 +114,14 @@ def measure_tm(workload: dict, *, repeats: int) -> dict:
     ref_result = machine.run(tape, fuel=fuel)
     fast_result = compiled.run(tape, fuel=fuel)
     assert fast_result == ref_result, f"{workload['name']}: compiled engine diverged"
-    ref_s = time_callable(lambda: machine.run(tape, fuel=fuel), repeats=repeats)
-    fast_s = time_callable(lambda: compiled.run(tape, fuel=fuel), repeats=repeats)
+    # min_time loops a microsecond-scale run (bb4) until the clock
+    # resolves it; the long workloads take one call per repeat anyway.
+    ref_s = time_callable(
+        lambda: machine.run(tape, fuel=fuel), repeats=repeats, min_time=1e-3
+    )
+    fast_s = time_callable(
+        lambda: compiled.run(tape, fuel=fuel), repeats=repeats, min_time=1e-3
+    )
     return {
         "name": workload["name"],
         "kind": "turing",
@@ -247,6 +260,8 @@ def main(argv: list[str] | None = None) -> int:
     best = max(gated, key=lambda r: r["speedup"], default=None)
     accepted = best is not None and best["speedup"] >= REQUIRED_SPEEDUP
     warm_accepted = batch_warm["speedup"] >= WARM_REQUIRED_SPEEDUP
+    trivial = next(r for r in results if r["name"] == TRIVIAL_WORKLOAD)
+    trivial_accepted = trivial["speedup"] >= TRIVIAL_REQUIRED_SPEEDUP
 
     table = Table(
         ["workload", "steps/jobs", "reference s", "compiled s", "speedup"],
@@ -274,19 +289,31 @@ def main(argv: list[str] | None = None) -> int:
             "warm_required_speedup": WARM_REQUIRED_SPEEDUP,
             "warm_speedup": batch_warm["speedup"],
             "warm_passed": warm_accepted,
-            "passed": accepted and warm_accepted,
+            "trivial_workload": TRIVIAL_WORKLOAD,
+            "trivial_required_speedup": TRIVIAL_REQUIRED_SPEEDUP,
+            "trivial_speedup": trivial["speedup"],
+            "trivial_passed": trivial_accepted,
+            "passed": accepted and warm_accepted and trivial_accepted,
         },
     }
     args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"\nwrote {args.output}")
 
-    # PF2 runs in smoke mode too: warm-pool dispatch is cheap enough
-    # to gate on every CI pass, unlike the full-size engine workloads.
+    # PF2 and the trivial-job gate run in smoke mode too: both are
+    # cheap enough to gate on every CI pass, unlike the full-size
+    # engine workloads.
     if not warm_accepted:
         print(
             f"FAIL: warm-pool batch speedup {batch_warm['speedup']:.2f}x"
             f" <= required {WARM_REQUIRED_SPEEDUP}x"
             f" (cold baseline {COLD_BASELINE_SPEEDUP}x)",
+            file=sys.stderr,
+        )
+        return 1
+    if not trivial_accepted:
+        print(
+            f"FAIL: compiled {TRIVIAL_WORKLOAD} ran {trivial['speedup']:.2f}x the reference"
+            f" (< {TRIVIAL_REQUIRED_SPEEDUP}x): per-run overhead regressed",
             file=sys.stderr,
         )
         return 1
@@ -303,7 +330,8 @@ def main(argv: list[str] | None = None) -> int:
         f"PASS: {best['name']} ({best['steps']} steps) ran"
         f" {best['speedup']:.1f}x faster compiled;"
         f" warm batch {batch_warm['speedup']:.1f}x"
-        f" (>= {WARM_REQUIRED_SPEEDUP}x)"
+        f" (>= {WARM_REQUIRED_SPEEDUP}x);"
+        f" {TRIVIAL_WORKLOAD} {trivial['speedup']:.1f}x (>= {TRIVIAL_REQUIRED_SPEEDUP}x)"
     )
     return 0
 

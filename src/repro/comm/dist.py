@@ -596,7 +596,7 @@ class DistBackend:
         """
         crash = _crash()
         queues: dict[int, deque[int]] = {n: deque() for n in range(self.nodes)}
-        estimates = {u: self._table.estimate(pids[u]) for u in pending}
+        estimates = dict(zip(pending, self._table.estimates([pids[u] for u in pending])))
         node_cost = {n: 0.0 for n in range(self.nodes)}
         for u in pending:
             node = self._home(pids[u])

@@ -4,9 +4,10 @@ The reference interpreters (``TuringMachine.run``, ``DFA.accepts``,
 ``StateMachine.run``) walk dict-of-strings transition maps: every step
 pays tuple construction, string hashing and two dict probes.  The
 compilers here intern states and symbols to small integers once, per
-machine, and flatten the transition map into a flat list indexed by
-``(state << 8) | symbol`` (Turing machines) or ``state * n + symbol``
-(automata), so the hot loop is a list index and a tuple unpack.
+machine, and flatten the transition map into per-state rows indexed
+by the symbol id (Turing machines) or a flat list indexed by
+``state * n + symbol`` (automata), so the hot loop is a list index and
+a tuple unpack.
 
 The Turing-machine tape becomes a growable ``bytearray`` with
 amortised doubling at both ends instead of a dict-per-cell, which is
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import singledispatch
+from functools import lru_cache, singledispatch
 from typing import Any, Hashable, Protocol, runtime_checkable
 
 from repro.core.statemachine import StateMachine
@@ -50,8 +51,7 @@ __all__ = [
     "run_compiled",
 ]
 
-# Symbols intern into one tape byte; every state row has 256 slots so
-# a tape byte addresses its slot directly with no range check.
+# Symbols intern into one tape byte, so at most 256 of them compile.
 _MAX_SYMBOLS = 256
 
 # Minimum head-to-edge margin before a segment starts; below this the
@@ -122,14 +122,18 @@ def program_key(machine: TuringMachine) -> tuple:
 class CompiledTM:
     """A :class:`TuringMachine` lowered to integer tables.
 
-    Each state owns a 256-slot row indexed directly by the tape byte;
-    a slot holds ``(next_row, write_symbol, move_offset)`` — the next
-    *row object itself*, so the hot loop never maps state ids — or
-    ``None`` when the machine stops there.  Halting states
-    (accept/reject) have all-``None`` rows, which makes "reached a
-    halt state" and "no rule" the same single event: unpacking ``None``
-    raises ``TypeError``, so the steady state pays no halt branch at
-    all (zero-cost exceptions).
+    Each state owns a row with one slot per compiled symbol, indexed
+    directly by the tape byte; a slot holds ``(next_row, write_symbol,
+    move_offset)`` — the next *row object itself*, so the hot loop
+    never maps state ids — or ``None`` when the machine stops there.
+    Halting states (accept/reject) have all-``None`` rows, which makes
+    "reached a halt state" and "no rule" the same single event:
+    unpacking ``None`` raises ``TypeError``, so the steady state pays
+    no halt branch at all (zero-cost exceptions).  A tape byte past
+    the end of a row can only be a symbol interned from the input at
+    run time, which no rule covers: its ``IndexError`` is the same
+    "no rule" halt, taken once the handler has checked that the head
+    is on the tape.
 
     Identity self-scans — rules ``(q, c) -> (q, c, d)`` that slide the
     head over a symbol without changing anything — compile to a
@@ -211,8 +215,11 @@ class CompiledTM:
         pad = min(_MIN_MARGIN, max(16, fuel))
         tape = bytearray(pad)
         tape.extend(ids[c] for c in tape_input)
-        tape.extend(bytes(pad))
-        head = pad
+        # One cell more on the right: the head starts on the first
+        # input cell, so both margins start at ``pad`` even on a blank
+        # tape and a run shorter than ``pad`` never grows the tape.
+        tape.extend(bytes(pad + 1))
+        head = origin = pad
         row = self.rows[self.initial_id]
         # Run-time interned symbols terminate scans (they have no rules).
         extras = tuple(range(len(self.symbol_names), len(names)))
@@ -232,6 +239,7 @@ class CompiledTM:
                 if head < size - head - 1:
                     tape[:0] = bytes(size)
                     head += size
+                    origin += size
                 else:
                     tape.extend(bytes(size))
                 size += size
@@ -245,7 +253,12 @@ class CompiledTM:
                     tape[head] = write
                     head += move
                 steps = segment_end  # segment (or the fuel) exhausted
-            except TypeError:  # unpacked None: halt state or missing rule
+            except (TypeError, IndexError):
+                # Unpacked None (halt state or missing rule) or read a
+                # run-time symbol past the row's end (no rule covers
+                # it).  A head off the tape is a bug, never a halt.
+                if not 0 <= head < size:
+                    raise
                 halted = True
                 break
             except ValueError:  # unpacked a 2-tuple: macro scan slot
@@ -278,11 +291,26 @@ class CompiledTM:
                 skipped_cells += k
         state = self.row_ids[id(row)]
         accepted = halted and self.accept_flags[state]
-        result = TMResult(halted, accepted, steps, _render(tape, names), self.state_names[state])
+        # The head moves at most one cell per charged step (macro skips
+        # included), so every non-blank cell lies in this window.
+        lo = origin - steps
+        visited = tape[lo if lo > 0 else 0 : origin + len(tape_input) + steps + 1]
+        rendered = _render(visited, tuple(names))
+        result = TMResult(halted, accepted, steps, rendered, self.state_names[state])
         return result, grows, skips, skipped_cells
 
 
-def _render(tape: bytearray, names: list[str]) -> str:
+@lru_cache(maxsize=1024)
+def _render_table(names: tuple[str, ...]) -> bytes | None:
+    """The ``bytes.translate`` table decoding an interned tape over
+    ``names``, or ``None`` unless every name is one ASCII character.
+    Built once per alphabet, not once per run."""
+    if not all(len(n) == 1 and ord(n) < 128 for n in names):
+        return None
+    return bytes(ord(names[i]) if i < len(names) else 0 for i in range(256))
+
+
+def _render(tape: bytearray, names: tuple[str, ...]) -> str:
     """Interned tape -> the same trimmed string the reference renders.
 
     The blank symbol interns to byte 0, so the reference's
@@ -293,8 +321,8 @@ def _render(tape: bytearray, names: list[str]) -> str:
     core = tape.strip(b"\x00")
     if not core:
         return ""
-    if all(len(n) == 1 and ord(n) < 128 for n in names):
-        trans = bytes(ord(names[i]) if i < len(names) else 0 for i in range(256))
+    trans = _render_table(names)
+    if trans is not None:
         return core.translate(trans).decode("ascii")
     return "".join(names[b] for b in core)
 
@@ -320,7 +348,7 @@ def compile_tm(machine: TuringMachine) -> CompiledTM:
     symbol_ids = {c: i for i, c in enumerate(symbol_names)}
 
     halting = machine.accept_states | machine.reject_states
-    rows: list[list[tuple | None]] = [[None] * _MAX_SYMBOLS for _ in state_names]
+    rows: list[list[tuple | None]] = [[None] * len(symbol_names) for _ in state_names]
     for (s, sym), (t, wsym, move) in machine.delta.items():
         if s in halting:
             continue  # the reference checks halt states before rules

@@ -36,7 +36,7 @@ import os
 import pickle
 import time
 from collections import OrderedDict, deque
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from typing import Any, Protocol
 
@@ -199,15 +199,31 @@ def run_job_loop(
 # inside a chunk payload (at most once per chunk for an unseeded
 # program).  Preparation is lazy and counted as a miss in the chunk
 # that triggers it; later jobs on the same worker are hits.
+#
+# Seeded sources stay for the generation.  Shipped ones are kept in
+# LRU order ("shipped") and evicted past _SHIPPED_MAX, the master's
+# default program-table size: every chunk that uses an unseeded
+# program ships it again, so eviction can never strand an entry.
 _UNPREPARABLE = object()
-_WORKER: dict = {"generation": -1, "programs": {}, "machines": {}}
+_SHIPPED_MAX = 4096
+
+
+def _resident_table(generation: int = -1, seeds: Iterable[tuple[int, Any]] = ()) -> dict:
+    """A fresh resident table for ``generation``, seeded with ``seeds``."""
+    return {
+        "generation": generation,
+        "programs": {},
+        "machines": dict(seeds),
+        "shipped": OrderedDict(),
+    }
+
+
+_WORKER: dict = _resident_table()
 
 
 def _worker_warm(generation: int, seeds: Sequence[tuple[int, Any]]) -> None:
     """Pool initializer: install this generation's seeded sources."""
-    _WORKER["generation"] = generation
-    _WORKER["programs"] = {}
-    _WORKER["machines"] = dict(seeds)
+    _WORKER.update(_resident_table(generation, seeds))
 
 
 def _execute_entries(
@@ -225,7 +241,8 @@ def _execute_entries(
     ``shipped`` the program sources for ids the master could not
     assume resident.  A generation older than the payload's means the
     table belongs to a pre-restart pool: it is dropped wholesale
-    before any entry is served.
+    before any entry is served.  Shipped (unseeded) sources are
+    evicted LRU past ``_SHIPPED_MAX`` once the chunk is served.
 
     ``table`` defaults to the per-process :data:`_WORKER` state; the
     comm layer's in-process loopback nodes pass their own dicts so two
@@ -235,13 +252,16 @@ def _execute_entries(
     start = time.perf_counter()
     worker = table if table is not None else _WORKER
     if worker["generation"] != generation:
-        worker["generation"] = generation
-        worker["programs"] = {}
-        worker["machines"] = {}
+        worker.update(_resident_table(generation))
     machines = worker["machines"]
-    if shipped:
-        machines.update(shipped)
     programs = worker["programs"]
+    lru = worker["shipped"]
+    for pid, source in shipped.items():
+        if pid in lru:
+            lru.move_to_end(pid)
+        elif pid not in machines:  # resident and untracked: seeded
+            lru[pid] = None
+        machines[pid] = source
     hits = misses = 0
     results: list[Any] = []
     for pid, input in entries:
@@ -268,6 +288,12 @@ def _execute_entries(
             results.append(workload.run_direct(machines[pid], input, fuel))
         else:
             results.append(workload.execute(resident, input, fuel))
+    # Evict only once the chunk is served: its own shipped entries
+    # must stay resident while it runs, however many there are.
+    while len(lru) > _SHIPPED_MAX:
+        pid, _ = lru.popitem(last=False)
+        del machines[pid]
+        programs.pop(pid, None)
     stats = {"hits": hits, "misses": misses, "size": len(programs)}
     return results, stats, time.perf_counter() - start
 
@@ -361,7 +387,7 @@ class SerialBackend:
             entries = [(programs.register(program)[0], input) for program, input in chunk]
             shipped = {pid: program for pid, (_, program) in programs.known.items()}
             payload = (self.workload, 0, entries, shipped, fuel, compiled, current_context())
-            table = {"generation": 0, "programs": {}, "machines": {}}
+            table = _resident_table(0)
             future.set_result(_run_workload_chunk(payload, table))
         except BaseException as exc:  # settled, never raised here
             future.set_exception(exc)
@@ -728,7 +754,7 @@ class ProcessBackend:
         else:
             spans = deque()
             remainder = deque(pending)
-            estimates = {u: self._table.estimate(pids[u]) for u in pending}
+            estimates = dict(zip(pending, self._table.estimates([pids[u] for u in pending])))
             remaining_cost = sum(estimates.values())
 
         def next_span() -> list[int] | None:

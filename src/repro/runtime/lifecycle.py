@@ -255,14 +255,20 @@ class ProgramTable:
         self.cost.pop(old_pid, None)
         return pid, old_pid
 
-    def estimate(self, pid: int) -> float:
-        """Estimated relative cost of one job of program ``pid``."""
-        est = self.cost.get(pid)
-        if est is not None:
-            return max(est, 1.0)
-        if self.cost:
-            return max(sum(self.cost.values()) / len(self.cost), 1.0)
-        return 1.0
+    def estimates(self, pids: Sequence[int]) -> list[float]:
+        """Estimated relative cost of one job of each program in ``pids``.
+
+        A known program's estimate is its EWMA; an unseen program's is
+        the mean over every known program, computed once per call
+        rather than once per unseen id.  Both are floored at 1.0.
+        """
+        cost = self.cost
+        unseen = max(sum(cost.values()) / len(cost), 1.0) if cost else 1.0
+        out: list[float] = []
+        for pid in pids:
+            est = cost.get(pid)
+            out.append(unseen if est is None else max(est, 1.0))
+        return out
 
     def observe_cost(self, pid: int, cost: float) -> None:
         self.cost[pid] = 0.5 * self.cost.get(pid, float(cost)) + 0.5 * cost

@@ -22,9 +22,12 @@ from repro.machines.turing import (
     palindrome_checker,
     unary_adder,
 )
+from repro.obs.instrument import observed
 from repro.perf.engine import (
     CompiledMachine,
     CompiledTM,
+    _render,
+    _render_table,
     compile_dfa,
     compile_machine,
     compile_statemachine,
@@ -163,6 +166,98 @@ def test_compiled_is_reusable():
     assert compiled.run("1").tape == "10"
     assert compiled.run("11").tape == "100"
     assert compiled.run("1").tape == "10"  # no state leaks between runs
+
+
+# -- alphabet-sized rows, the render table, the visited window ---------------
+
+# "r" slides right over 0s and 1s and "l" slides left over 1s — both
+# identity self-scans, so both compile to macro slots.  Turning at a
+# blank writes a real symbol, so each scan starts from a plain step.
+SCANNER = TuringMachine.from_rules(
+    [
+        ("r", "1", "r", "1", "R"),
+        ("r", "0", "r", "0", "R"),
+        ("r", BLANK, "l", "0", "L"),
+        ("l", "1", "l", "1", "L"),
+        ("l", BLANK, "r", "1", "R"),
+    ],
+    initial="r",
+)
+
+
+def test_runtime_symbol_right_after_right_macro_scan():
+    # The scan stops on "x", a symbol only the input mentions: its
+    # byte indexes past the end of the row, which must halt exactly
+    # like the reference's missing rule.
+    for tape_input in ("x", "1x", "111x", "10x11", "0000x1x", "1" * 40 + "x"):
+        for fuel in (0, 1, 2, 3, 39, 40, 41, 1_000):
+            assert_same_result(SCANNER, tape_input, fuel)
+
+
+def test_runtime_symbol_right_after_left_macro_scan():
+    # Start in "l": the left scan runs off the input, turns at the
+    # blank, and the right scan that follows reaches the extra symbol.
+    machine = TuringMachine(dict(SCANNER.delta), "l")
+    for tape_input in ("1x", "111x", "11y1", "1" * 30 + "x"):
+        for fuel in (0, 1, 2, 3, 4, 31, 32, 33, 1_000):
+            assert_same_result(machine, tape_input, fuel)
+
+
+def test_non_ascii_alphabet_matches_reference():
+    # Non-ASCII symbols render through the join path, whether they are
+    # compiled or interned from the input at run time.
+    machine = TuringMachine.from_rules(
+        [
+            ("r", "é", "r", "é", "R"),
+            ("r", "ü", "r", "é", "R"),
+            ("r", BLANK, "l", "→", "L"),
+            ("l", "é", "l", "é", "L"),
+        ],
+        initial="r",
+    )
+    for tape_input in ("", "é", "üéü", "éüßé", "ééß", "x"):
+        for fuel in (0, 2, 5, 100):
+            assert_same_result(machine, tape_input, fuel)
+    for tape_input in ("1ß1", "ß", "11€0"):
+        for fuel in (0, 3, 100):
+            assert_same_result(SCANNER, tape_input, fuel)
+
+
+def test_render_join_path_for_multi_character_names():
+    # The reference refuses multi-character symbols, so no machine can
+    # produce them; the renderer must still decode them by name.
+    names = (BLANK, "ab", "c")
+    assert _render_table(names) is None
+    assert _render(bytearray(b"\x00\x00\x01\x02\x00\x01\x00"), names) == "abc_ab"
+    assert _render(bytearray(b"\x00\x00"), names) == ""
+
+
+def test_render_table_built_once_per_alphabet():
+    names = (BLANK, "0", "1")
+    assert _render_table(names) is _render_table(tuple(list(names)))
+    assert _render(bytearray(b"\x00\x02\x00\x01\x00"), names) == "1_0"
+
+
+@pytest.mark.parametrize(
+    "machine,fuel",
+    [
+        (busy_beaver_machine(2), 100),
+        (busy_beaver_machine(3), 100),
+        (busy_beaver_machine(4), 1_000),
+        (TuringMachine.from_rules([("s", BLANK, "s", "1", "R")], initial="s"), 100),
+        (TuringMachine.from_rules([("s", BLANK, "s", "1", "L")], initial="s"), 100),
+    ],
+    ids=["bb2", "bb3", "bb4", "right-writer", "left-writer"],
+)
+def test_blank_tape_run_within_pad_never_grows(machine, fuel):
+    # fuel <= 4096 pads each side of a blank tape by ``fuel`` cells, so
+    # a run of at most ``fuel`` steps never needs a wider tape.
+    compiled = compile_tm(machine)
+    with observed() as obs:
+        result = compiled.run("", fuel=fuel)
+    assert result == machine.run("", fuel=fuel)
+    assert result.steps <= fuel
+    assert obs.registry.total("engine_tape_grows_total") == 0
 
 
 # -- DFAs -------------------------------------------------------------------

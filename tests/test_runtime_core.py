@@ -23,6 +23,8 @@ from repro.runtime import (
     run_job_loop,
     run_jobs,
 )
+from repro.runtime import core
+from repro.runtime.lifecycle import ProgramTable
 from repro.runtime.workload import (
     Workload,
     WorkloadBase,
@@ -341,6 +343,69 @@ def test_serial_and_process_submit_chunk_settle_alike(workload, chunk, compiled,
     results, stats, _ = serial.result()
     assert pickle.dumps(results) == pickle.dumps(pooled[0])
     assert (stats["hits"], stats["misses"]) == (pooled[1]["hits"], pooled[1]["misses"]) == tally
+
+
+# -- the cost model and bounded worker tables --------------------------------
+
+
+def _per_id_estimate(cost: dict, pid: int) -> float:
+    """The per-id rule ``ProgramTable.estimates`` must reproduce."""
+    est = cost.get(pid)
+    if est is not None:
+        return max(est, 1.0)
+    if cost:
+        return max(sum(cost.values()) / len(cost), 1.0)
+    return 1.0
+
+
+@pytest.mark.parametrize(
+    "observed_costs",
+    [{}, {0: 0.25, 1: 0.5}, {0: 3.0, 1: 0.2, 2: 11.5, 5: 1.0}],
+    ids=["empty", "floor", "mixed"],
+)
+def test_program_table_estimates_match_per_id_rule(observed_costs):
+    table = ProgramTable(SCALE, table_size=16, memo_size=0)
+    for pid, cost in observed_costs.items():
+        table.observe_cost(pid, cost)
+    pids = [0, 1, 2, 7, 9, 0, 5]
+    expected = [_per_id_estimate(table.cost, pid) for pid in pids]
+    assert table.estimates(pids) == expected
+    assert table.estimates([]) == []
+
+
+def test_execute_entries_bounds_shipped_programs():
+    bound = core._SHIPPED_MAX
+    table = core._resident_table(0, [(-1, 5)])  # one seeded program
+    chunk = 512
+    for start in range(0, bound + 3 * chunk, chunk):
+        pids = range(start, start + chunk)
+        entries = [(pid, 3) for pid in pids] + [(-1, 3)]
+        results, stats, _ = core._execute_entries(
+            SCALE, 0, entries, {pid: pid for pid in pids}, 0, True, table=table
+        )
+        assert results == [SCALE.run_direct(pid, 3, 0) for pid in [*pids, 5]]
+        assert len(table["shipped"]) <= bound
+        assert len(table["machines"]) <= bound + 1
+        assert stats["size"] <= bound + 1
+    assert table["machines"][-1] == 5  # seeded: never evicted
+    assert 0 not in table["machines"]  # the oldest shipped program went
+    # An evicted program rides along with the next chunk that uses it.
+    results, _, _ = core._execute_entries(SCALE, 0, [(0, 4)], {0: 0}, 0, True, table=table)
+    assert results == [SCALE.run_direct(0, 4, 0)]
+
+
+def test_execute_entries_serves_a_chunk_wider_than_the_bound():
+    # Eviction waits until the chunk is served, so a chunk shipping
+    # more programs than the bound never strands one of its own.
+    table = core._resident_table(0)
+    pids = range(core._SHIPPED_MAX + 10)
+    for compiled in (True, False):
+        results, _, _ = core._execute_entries(
+            SCALE, 0, [(pid, 2) for pid in pids], {pid: pid for pid in pids}, 0,
+            compiled, table=table,
+        )
+        assert results == [SCALE.run_direct(pid, 2, 0) for pid in pids]
+        assert len(table["machines"]) == core._SHIPPED_MAX
 
 
 # -- composite chain validation (full-chain error naming, ordering) ----------
