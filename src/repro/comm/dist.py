@@ -1,11 +1,12 @@
 """``backend="dist"``: multi-node sharded execution for the runtime.
 
 The coordinator side of the comm wire protocol.  A
-:class:`DistBackend` keeps the same master state as
+:class:`DistBackend` shares its master side with
 :class:`repro.runtime.core.ProcessBackend` — one
-:class:`~repro.runtime.lifecycle.ProgramTable` of interned program ids,
-warm result memo and EWMA cost model — but instead of one process pool
-it drives ``nodes`` node workers through a
+:class:`~repro.runtime.lifecycle.InternedBackend`: the same interned
+``execute``, ``warm``/``invalidate``, program table, warm result memo,
+EWMA cost model and span rule — but instead of one process pool its
+transport drives ``nodes`` node workers through a
 :class:`repro.comm.Communicator`:
 
 * **Sharding.**  Every program's *content key* hashes to a home node
@@ -43,7 +44,6 @@ import itertools
 import os
 import pickle
 import threading
-import time
 from collections import Counter, deque
 from collections.abc import Sequence
 from concurrent.futures import FIRST_COMPLETED, Future, wait
@@ -55,10 +55,10 @@ from repro.obs.telemetry import current_context
 from repro.runtime import core as _core
 from repro.runtime.lifecycle import (
     ChunkSettler,
-    ProgramTable,
-    dispatch_summary,
+    InternedBackend,
     enter_close,
     mark_open,
+    take_span,
 )
 from repro.runtime.workload import Job, Workload
 
@@ -73,7 +73,7 @@ def _crash() -> type[Exception]:
     return WorkerCrash
 
 
-class DistBackend:
+class DistBackend(InternedBackend):
     """Sharded execution across node workers behind one communicator.
 
     ``topology`` defaults to ``"hierarchical"`` when each node gets
@@ -81,6 +81,8 @@ class DistBackend:
     ``"single_node"`` for in-process loopback nodes.  The communicator
     (and its node subprocesses) is created lazily on first use and
     survives across ``execute`` calls — warm node pools, warm shards.
+    Only the node transport lives here; the rest is
+    :class:`~repro.runtime.lifecycle.InternedBackend`.
     """
 
     name = "dist"
@@ -101,9 +103,7 @@ class DistBackend:
     ) -> None:
         if nodes < 1:
             raise ValueError("need at least one node")
-        if chunksize is not None and chunksize < 1:
-            raise ValueError("chunksize must be >= 1 (or None for adaptive dispatch)")
-        self.workload = workload
+        super().__init__(workload, chunksize, memo_size=memo_size, table_size=table_size)
         self.nodes = nodes
         cpu = os.cpu_count() or 1
         self.workers_per_node = (
@@ -112,24 +112,19 @@ class DistBackend:
         if topology is None:
             topology = "hierarchical" if self.workers_per_node > 1 else "naive"
         self.topology = topology
-        self.chunksize = chunksize
         self.max_node_restarts = max_node_restarts
         self.chaos = chaos
         self.connect_timeout = connect_timeout
         #: Total worker estimate — the supervisor sizes chunks off this.
         self.workers = nodes * max(1, self.workers_per_node)
-        self.last_cache_stats: dict[str, int] = dict(_core._ZERO_STATS)
-        self.last_dispatch: dict[str, Any] = {}
         self.comm: Communicator | None = None
         self._owner_pid = os.getpid()
         self._receiver: threading.Thread | None = None
         self._stop = threading.Event()
-        # Master-side intern state, the same table ProcessBackend keeps.
-        self._table = ProgramTable(workload, table_size=table_size, memo_size=memo_size)
-        self._home_cache: dict[int, int] = {}
         # Per-node shard state.
         self._generation = [0] * nodes
         self._seeded: list[set[int]] = [set() for _ in range(nodes)]
+        self._homes: dict[int, int] = {}
         self._dead: set[int] = set()
         # Receiver-settled routing state, all guarded by _lock.
         self._lock = threading.Lock()
@@ -151,13 +146,14 @@ class DistBackend:
 
     # -- sharding ------------------------------------------------------------
 
-    def _register(self, program: Any) -> int:
-        pid, evicted = self._table.register(program)
-        if evicted is not None:
-            self._home_cache.pop(evicted, None)
-            for seeded in self._seeded:
-                seeded.discard(evicted)
-        return pid
+    def _forget(self, pid: int) -> None:
+        self._homes.pop(pid, None)
+        for seeded in self._seeded:
+            seeded.discard(pid)
+
+    def invalidate(self) -> None:
+        super().invalidate()
+        self._homes.clear()
 
     def _home(self, pid: int) -> int:
         """The node whose resident-table slice owns this program.
@@ -166,11 +162,11 @@ class DistBackend:
         pickle, like ``journal_key``), so the placement is stable
         across processes and runs — the sharding diagram in DESIGN.md.
         """
-        node = self._home_cache.get(pid)
+        node = self._homes.get(pid)
         if node is None:
             key = self._table.known[pid][0]
             digest = hashlib.sha1(pickle.dumps(key, protocol=4)).digest()
-            node = self._home_cache[pid] = int.from_bytes(digest[:8], "big") % self.nodes
+            node = self._homes[pid] = int.from_bytes(digest[:8], "big") % self.nodes
         return node
 
     # -- communicator lifecycle ----------------------------------------------
@@ -386,11 +382,7 @@ class DistBackend:
         the node crash it is.
         """
         assert self.comm is not None
-        shipped: dict[int, Any] = {}
-        seeded = self._seeded[node]
-        for pid, _ in entries:
-            if pid not in seeded and pid not in shipped:
-                shipped[pid] = self._table.known[pid][1]
+        shipped = self._shipped(entries, self._seeded[node])
         chunk_id = next(self._next_chunk)
         future: Future = Future()
         with self._lock:
@@ -456,128 +448,33 @@ class DistBackend:
         future, _ = self._send_chunk(target, entries, fuel=fuel, compiled=compiled)
         return future
 
-    # -- warm lifecycle ------------------------------------------------------
+    # -- dispatch ------------------------------------------------------------
 
-    def warm(self, *, jobs: Sequence[Job] = (), programs: Sequence[Any] = ()) -> "DistBackend":
-        """Register programs and seed every node's shard with its slice."""
-        fresh: set[int] = set()
-        for program in list(programs) + [program for program, _ in jobs]:
-            pid = self._register(program)
-            node = self._home(pid)
-            if self.comm is not None and pid not in self._seeded[node]:
-                fresh.add(node)
+    def _reseed(self, pids: Sequence[int]) -> None:
         if self.comm is None:
             self._ensure_comm()
-        else:
-            for node in sorted(fresh):
-                self._generation[node] += 1
-                self._shard_node(node)
-        return self
+            return
+        lacking: set[int] = set()
+        for pid in pids:
+            if pid in self._table.known:  # else evicted by a later program of this warm
+                node = self._home(pid)
+                if pid not in self._seeded[node]:
+                    lacking.add(node)
+        for node in sorted(lacking):
+            self._generation[node] += 1
+            self._shard_node(node)
 
-    def invalidate(self) -> None:
-        """Drop every warm table: nodes, program registry, memo, costs."""
-        self.close()
-        self._table.clear()
-        self._home_cache.clear()
+    def _tally(self) -> dict[str, Any]:
+        return {**super()._tally(), "nodes": self.nodes, "node_restarts": 0, "degraded_jobs": 0}
 
-    # -- execution -----------------------------------------------------------
-
-    def execute(
-        self,
-        jobs: Sequence[Job],
-        *,
-        fuel: int,
-        compiled: bool,
-        cache: _core.ResidentCache | None = None,
-    ) -> list[Any]:
-        self.last_cache_stats = dict(_core._ZERO_STATS)
-        self.last_dispatch = {}
-        if not jobs:
-            return []
-        unique, slots, _ = _core.intern_jobs(self.workload, jobs)
-        pids = [self._register(program) for program, _ in unique]
-
-        unique_results, pending = self._table.recall(pids, unique, fuel, compiled)
-
-        settler = ChunkSettler(self.name)
-        aggregate = settler.aggregate
-        chunks = payload_bytes = 0
-        restarts_before = self.node_restarts
-        degraded_before = self.degraded_jobs
-        chunk_counts_before = Counter(self.node_chunks)
-        bytes_before = (
-            (self.comm.bytes_sent, self.comm.bytes_recv) if self.comm is not None else (0, 0)
-        )
-        try:
-            if pending:
-                self._ensure_comm()
-                with OBS.span(
-                    "batch.pool",
-                    backend=self.name,
-                    jobs=len(jobs),
-                    pending=len(pending),
-                    nodes=self.nodes,
-                ):
-                    chunks, payload_bytes = self._dispatch(
-                        pending, unique, pids, unique_results, settler, fuel, compiled
-                    )
-        finally:
-            executed = set(pending)
-            dup_of_executed = sum(1 for s in slots if s in executed) - len(executed)
-            warm_hits = sum(1 for s in slots if s not in executed)
-            self.last_cache_stats = {
-                "hits": aggregate["hits"] + (dup_of_executed if compiled else 0),
-                "misses": aggregate["misses"],
-                "size": aggregate["size"],
-            }
-            self.last_dispatch = dispatch_summary(
-                len(jobs),
-                len(unique),
-                chunks=chunks,
-                payload_bytes=payload_bytes,
-                warm_hits=warm_hits,
-                memo_hits=warm_hits,
-                ensemble_jobs=0,
-                nodes=self.nodes,
-                node_restarts=self.node_restarts - restarts_before,
-                degraded_jobs=self.degraded_jobs - degraded_before,
-            )
-        out = [unique_results[s] for s in slots]
-        if any(r is None for r in out):  # pragma: no cover - defensive
-            raise RuntimeError("dispatch completed with unfilled result slots")
-        self._table.remember(pids, unique, unique_results, fuel, compiled)
-        if cache is not None:
-            cache.absorb(self.last_cache_stats)
-        if OBS.enabled:
-            sent_after, recv_after = (
-                (self.comm.bytes_sent, self.comm.bytes_recv)
-                if self.comm is not None
-                else bytes_before
-            )
-            with OBS.atomic():
-                for node, count in (Counter(self.node_chunks) - chunk_counts_before).items():
-                    OBS.count("comm_chunks_total", count, node=str(node))
-                if sent_after > bytes_before[0]:
-                    OBS.count("comm_bytes_sent_total", sent_after - bytes_before[0])
-                if recv_after > bytes_before[1]:
-                    OBS.count("comm_bytes_recv_total", recv_after - bytes_before[1])
-                restart_delta = self.node_restarts - restarts_before
-                if restart_delta:
-                    OBS.count("comm_node_restarts_total", restart_delta)
-            with self._lock:
-                alive = self.nodes - len(self._dead)
-            OBS.gauge("comm_nodes", alive)
-            _core._record_cache_metrics(
-                self.name, self.last_cache_stats["hits"], self.last_cache_stats["misses"]
-            )
-            if payload_bytes:
-                OBS.count("batch_payload_bytes", payload_bytes, backend=self.name)
-            if warm_hits:
-                OBS.count("batch_warm_hits", warm_hits, backend=self.name)
-        return out
+    def _observe(self, tally: dict[str, int]) -> None:
+        with self._lock:
+            alive = self.nodes - len(self._dead)
+        OBS.gauge("comm_nodes", alive)
 
     def _dispatch(
         self,
+        jobs: int,
         pending: list[int],
         unique: Sequence[Job],
         pids: Sequence[int],
@@ -585,124 +482,135 @@ class DistBackend:
         settler: ChunkSettler,
         fuel: int,
         compiled: bool,
-    ) -> tuple[int, int]:
-        """Drive the nodes over ``pending``; ``(chunks, payload_bytes)``.
+        tally: dict[str, int],
+    ) -> None:
+        """Drive the nodes over ``pending`` unique-job indices.
 
-        Per-node straggler queues with adaptive pull spans (each pull
+        Per-node straggler queues pulled by
+        :func:`~repro.runtime.lifecycle.take_span` (an adaptive pull
         takes a ``1/(2·workers_per_node)`` share of that node's
         remaining estimated cost), a bounded in-flight window per node
         to pipeline over the wire, and crash-requeue + restart woven
         into the same loop.
         """
-        crash = _crash()
-        queues: dict[int, deque[int]] = {n: deque() for n in range(self.nodes)}
-        estimates = dict(zip(pending, self._table.estimates([pids[u] for u in pending])))
-        node_cost = {n: 0.0 for n in range(self.nodes)}
-        for u in pending:
-            node = self._home(pids[u])
-            queues[node].append(u)
-            node_cost[node] += estimates[u]
-        in_flight: dict[Future, tuple[int, list[int]]] = {}
-        node_inflight: Counter = Counter()
-        window = max(2, 2 * max(1, self.workers_per_node))
-        chunks = payload_bytes = 0
-        restarts = 0
+        bytes_before = (
+            (self.comm.bytes_sent, self.comm.bytes_recv) if self.comm is not None else (0, 0)
+        )
+        chunk_counts_before = Counter(self.node_chunks)
+        restarts_before = self.node_restarts
+        self._ensure_comm()
+        with OBS.span(
+            "batch.pool", backend=self.name, jobs=jobs, pending=len(pending), nodes=self.nodes
+        ):
+            crash = _crash()
+            queues: dict[int, deque[int]] = {n: deque() for n in range(self.nodes)}
+            estimates = dict(zip(pending, self._table.estimates([pids[u] for u in pending])))
+            node_cost = {n: 0.0 for n in range(self.nodes)}
+            for u in pending:
+                node = self._home(pids[u])
+                queues[node].append(u)
+                node_cost[node] += estimates[u]
+            in_flight: dict[Future, tuple[int, list[int]]] = {}
+            node_inflight: Counter = Counter()
+            window = max(2, 2 * max(1, self.workers_per_node))
+            chunks = payload_bytes = 0
+            restarts = 0
 
-        def next_span(node: int) -> list[int] | None:
-            q = queues[node]
-            if not q:
-                return None
-            if self.chunksize is not None:
-                span = [q.popleft() for _ in range(min(self.chunksize, len(q)))]
-                if len(q) == 1:  # never ship a 1-job leftover chunk
-                    span.append(q.popleft())
-                return span
-            share = max(1.0, node_cost[node] / (2 * max(1, self.workers_per_node)))
-            span: list[int] = []
-            acc = 0.0
-            while q and (not span or acc < share):
-                u = q.popleft()
-                span.append(u)
-                acc += estimates[u]
-            node_cost[node] -= acc
-            return span
+            def requeue(node: int, span: list[int]) -> None:
+                for u in reversed(span):
+                    queues[node].appendleft(u)
+                node_cost[node] += sum(estimates[u] for u in span)
 
-        def requeue(node: int, span: list[int]) -> None:
-            for u in reversed(span):
-                queues[node].appendleft(u)
-            node_cost[node] += sum(estimates[u] for u in span)
+            def degrade_remainder() -> None:
+                """Past the restart budget: finish locally, like the
+                supervisor degrading to serial — results stay exact."""
+                leftovers = sorted(u for q in queues.values() for u in q)
+                for q in queues.values():
+                    q.clear()
+                if not leftovers:
+                    return
+                local = _core.ResidentCache(self.workload) if compiled else None
+                results = _core.run_job_loop(
+                    self.workload, [unique[u] for u in leftovers], fuel, compiled, local
+                )
+                self._scatter(leftovers, results, pids, unique_results)
+                self.degraded_jobs += len(leftovers)
+                tally["degraded_jobs"] += len(leftovers)
+                if local is not None:
+                    settler.absorb_stats(local.stats())
 
-        def degrade_remainder() -> None:
-            """Past the restart budget: finish locally, like the
-            supervisor degrading to serial — results stay exact."""
-            leftovers = sorted(u for q in queues.values() for u in q)
-            for q in queues.values():
-                q.clear()
-            if not leftovers:
-                return
-            local = _core.ResidentCache(self.workload) if compiled else None
-            results = _core.run_job_loop(
-                self.workload, [unique[u] for u in leftovers], fuel, compiled, local
-            )
-            for u, result in zip(leftovers, results):
-                unique_results[u] = result
-                self._table.observe_cost(pids[u], self.workload.cost(result))
-            self.degraded_jobs += len(leftovers)
-            if local is not None:
-                settler.absorb_stats(local.stats())
-
-        while True:
-            with self._lock:
-                dead = set(self._dead)
-            dead_with_work = [n for n in sorted(dead) if queues[n]]
-            for node in dead_with_work:
-                if restarts >= self.max_node_restarts:
-                    degrade_remainder()
-                    break
-                restarts += 1
-                try:
-                    self._restart_node(node)
-                except (crash, TimeoutError, ConnectionError, OSError):
-                    continue  # still down; next pass retries or degrades
-                dead.discard(node)
-            for node in range(self.nodes):
-                if node in dead:
-                    continue
-                while node_inflight[node] < window:
-                    span = next_span(node)
-                    if span is None:
+            try:
+                while True:
+                    with self._lock:
+                        dead = set(self._dead)
+                    dead_with_work = [n for n in sorted(dead) if queues[n]]
+                    for node in dead_with_work:
+                        if restarts >= self.max_node_restarts:
+                            degrade_remainder()
+                            break
+                        restarts += 1
+                        try:
+                            self._restart_node(node)
+                        except (crash, TimeoutError, ConnectionError, OSError):
+                            continue  # still down; next pass retries or degrades
+                        dead.discard(node)
+                    for node in range(self.nodes):
+                        if node in dead:
+                            continue
+                        while queues[node] and node_inflight[node] < window:
+                            span, cost = take_span(
+                                queues[node],
+                                estimates,
+                                node_cost[node],
+                                self.workers_per_node,
+                                self.chunksize,
+                            )
+                            node_cost[node] -= cost
+                            if self.chaos is not None:
+                                kind = self.chaos.next_fault()
+                                if kind == "node_kill":
+                                    self.kill_node(node)
+                            entries = [(pids[u], unique[u][1]) for u in span]
+                            try:
+                                future, nbytes = self._send_chunk(
+                                    node, entries, fuel=fuel, compiled=compiled
+                                )
+                            except crash:
+                                requeue(node, span)
+                                break  # node died at submit; outer loop restarts it
+                            chunks += 1
+                            payload_bytes += nbytes
+                            in_flight[future] = (node, span)
+                            node_inflight[node] += 1
+                    if not in_flight:
+                        if any(queues.values()):
+                            continue  # dead nodes still hold work; loop restarts them
                         break
-                    if self.chaos is not None:
-                        kind = self.chaos.next_fault()
-                        if kind == "node_kill":
-                            self.kill_node(node)
-                    entries = [(pids[u], unique[u][1]) for u in span]
-                    try:
-                        future, nbytes = self._send_chunk(
-                            node, entries, fuel=fuel, compiled=compiled
-                        )
-                    except crash:
-                        requeue(node, span)
-                        break  # node died at submit; outer loop restarts it
-                    chunks += 1
-                    payload_bytes += nbytes
-                    in_flight[future] = (node, span)
-                    node_inflight[node] += 1
-            if not in_flight:
-                if any(queues.values()):
-                    continue  # dead nodes still hold work; loop restarts them
-                break
-            done, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
-            for future in done:
-                node, span = in_flight.pop(future)
-                node_inflight[node] -= 1
-                try:
-                    payload = future.result()
-                except crash:
-                    requeue(node, span)  # node lost; restart happens at loop top
-                    continue
-                results = settler.settle(payload)
-                for u, result in zip(span, results):
-                    unique_results[u] = result
-                    self._table.observe_cost(pids[u], self.workload.cost(result))
-        return chunks, payload_bytes
+                    done, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
+                    for future in done:
+                        node, span = in_flight.pop(future)
+                        node_inflight[node] -= 1
+                        try:
+                            payload = future.result()
+                        except crash:
+                            requeue(node, span)  # node lost; restart happens at loop top
+                            continue
+                        self._scatter(span, settler.settle(payload), pids, unique_results)
+            finally:
+                tally["node_restarts"] = self.node_restarts - restarts_before
+        tally.update(chunks=chunks, payload_bytes=payload_bytes)
+        if OBS.enabled:
+            sent, recv = (
+                (self.comm.bytes_sent, self.comm.bytes_recv)
+                if self.comm is not None
+                else bytes_before
+            )
+            with OBS.atomic():
+                for node, count in (Counter(self.node_chunks) - chunk_counts_before).items():
+                    OBS.count("comm_chunks_total", count, node=str(node))
+                if sent > bytes_before[0]:
+                    OBS.count("comm_bytes_sent_total", sent - bytes_before[0])
+                if recv > bytes_before[1]:
+                    OBS.count("comm_bytes_recv_total", recv - bytes_before[1])
+                if tally["node_restarts"]:
+                    OBS.count("comm_node_restarts_total", tally["node_restarts"])

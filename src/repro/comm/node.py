@@ -12,11 +12,14 @@ Protocol (every message one framed pickle of ``(op, body)``):
 * ``("shard", {generation, seeds, reset})`` — install this node's
   slice of the resident program table (``seeds`` is ``[(pid,
   program), ...]``, the programs whose content-key hash homes here).
-  A pooled node (``workers >= 1``) rebuilds its warm pool with the
-  seeds baked into the initializer — the per-host analogue of
-  ``ProcessBackend.warm`` — and replies ``("sharded", {node,
+  A pooled node (``workers >= 1``) rebuilds its warm pool — a
+  :class:`~repro.runtime.lifecycle.WorkerPool`, built under the
+  message's generation rather than one of its own — with the seeds
+  baked into the initializer (the per-host analogue of
+  ``ProcessBackend.warm``) and replies ``("sharded", {node,
   generation, programs})`` only once the pool is up, so the reply is
-  a real barrier.
+  a real barrier.  A chunk that finds the pool broken rebuilds it
+  under the same generation and slice.
 * ``("chunk", {chunk_id, generation, entries, shipped, fuel,
   compiled, ctx})`` — execute interned entries through the runtime's
   one chunk entry point, :func:`repro.runtime.core._run_workload_chunk`.
@@ -40,11 +43,12 @@ import argparse
 import pickle
 import socket
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
 from repro.runtime import core as _core
+from repro.runtime.lifecycle import WorkerPool
 from repro.util.framing import FrameError, read_frame, write_frame
 
 __all__ = ["NodeServer", "main"]
@@ -75,7 +79,7 @@ class NodeServer:
         self._wlock = threading.Lock()
         self._generation = 0
         self._sources: dict[int, Any] = {}
-        self._pool: ProcessPoolExecutor | None = None
+        self._pool = WorkerPool(workers)
         # Node-local resident table for the serial path; never the
         # module-global _WORKER, so loopback nodes sharing one
         # interpreter keep independent generations.
@@ -110,7 +114,7 @@ class NodeServer:
         except OSError:
             pass  # a reply hit a closed socket mid-serve
         finally:
-            self._shutdown_pool(wait=False)
+            self._pool.recover()
             try:
                 self.rfile.close()
                 self.sock.close()
@@ -126,7 +130,8 @@ class NodeServer:
         self._generation = generation
         self._sources.update(body.get("seeds", ()))
         if self.workers >= 1:
-            self._rebuild_pool()
+            self._pool.recover()
+            self._pool.get(self._sources.items, generation)
         else:
             self._table = _core._resident_table(generation, self._sources.items())
         self._reply(
@@ -137,19 +142,6 @@ class NodeServer:
                 "programs": len(self._sources),
             },
         )
-
-    def _rebuild_pool(self) -> None:
-        self._shutdown_pool(wait=False)
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_core._worker_warm,
-            initargs=(self._generation, list(self._sources.items())),
-        )
-
-    def _shutdown_pool(self, *, wait: bool) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=wait, cancel_futures=True)
 
     def _on_chunk(self, body: dict) -> None:
         chunk_id = body["chunk_id"]
@@ -165,10 +157,10 @@ class NodeServer:
         )
         task = (*payload, ctx) if ctx is not None else payload
         if self.workers >= 1:
-            if self._pool is None:  # a previous chunk broke it; self-heal
-                self._rebuild_pool()
+            # get() rebuilds a pool a previous chunk broke: self-heal.
+            pool = self._pool.get(self._sources.items, self._generation)
             try:
-                future = self._pool.submit(_core._run_workload_chunk, task)
+                future = pool.submit(_core._run_workload_chunk, task)
             except BaseException as exc:
                 self._reply_error(chunk_id, exc)
                 return
@@ -188,7 +180,7 @@ class NodeServer:
             except BrokenProcessPool as exc:
                 # The node's own pool died; drop it so the next chunk
                 # rebuilds, and let the coordinator decide to retry.
-                self._pool = None
+                self._pool.discard()
                 self._reply_error(chunk_id, exc, crash=True)
                 return
             except BaseException as exc:

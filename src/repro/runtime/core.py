@@ -19,7 +19,11 @@ The mechanisms, workload-generically:
   once per worker, at pool warm-up.
 * **Persistent warm workers.**  A :class:`ProcessBackend`'s pool and
   its per-worker resident tables survive across ``execute()`` calls,
-  generation-tagged so a restart can never serve stale state.
+  generation-tagged so a restart can never serve stale state.  The
+  pool's lifecycle is :class:`~repro.runtime.lifecycle.WorkerPool` and
+  the interned ``execute`` is
+  :class:`~repro.runtime.lifecycle.InternedBackend`, both shared with
+  the other pooled leaves; this module keeps the pool transport.
 * **Adaptive dispatch with a work-stealing tail.**  Chunk sizes follow
   a per-program EWMA cost model fed by ``workload.cost(result)`` and
   decay geometrically toward single jobs at the tail.
@@ -43,12 +47,17 @@ from typing import Any, Protocol
 from repro.obs.instrument import OBS
 from repro.obs.telemetry import current_context, run_captured
 from repro.runtime.lifecycle import (
+    _ZERO_STATS,
     ChunkSettler,
+    InternedBackend,
     ProgramTable,
+    WorkerPool,
+    _record_cache_metrics,
     dispatch_summary,
     enter_close,
-    mark_open,
+    intern_jobs,
     plan_chunks,
+    take_span,
 )
 from repro.runtime.workload import Job, Workload, get_workload
 
@@ -85,7 +94,9 @@ class ResidentCache:
     identity — so a program decoded twice from the same description
     still hits.  ``get`` lets the adapter's ``prepare`` raise (the TM
     adapter raises ``ValueError`` for uncompilable alphabets); callers
-    fall back to ``run_direct``.
+    fall back to ``run_direct``.  The failure is remembered like a
+    worker table's ``_UNPREPARABLE`` entry: a later ``get`` of the same
+    program re-raises without preparing again, and counts as a hit.
     """
 
     def __init__(self, workload: Workload, maxsize: int = 128) -> None:
@@ -106,13 +117,22 @@ class ResidentCache:
         if entry is not None:
             self.hits += 1
             self._entries.move_to_end(key)
+            if isinstance(entry, ValueError):
+                raise ValueError(*entry.args)
             return entry
         self.misses += 1
-        entry = self.workload.prepare(program)
+        try:
+            entry = self.workload.prepare(program)
+        except ValueError as exc:
+            self._put(key, ValueError(*exc.args))  # the failure, without its frames
+            raise
+        self._put(key, entry)
+        return entry
+
+    def _put(self, key: Any, entry: Any) -> None:
         self._entries[key] = entry
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
-        return entry
 
     def stats(self) -> dict[str, int]:
         return {"hits": self.hits, "misses": self.misses, "size": len(self._entries)}
@@ -126,44 +146,6 @@ class ResidentCache:
         """
         self.hits += int(stats.get("hits", 0))
         self.misses += int(stats.get("misses", 0))
-
-
-_ZERO_STATS = {"hits": 0, "misses": 0, "size": 0}
-
-
-def _record_cache_metrics(backend: str, hits: int, misses: int) -> None:
-    # One atomic burst: a snapshot can never see hits updated while
-    # the paired misses still hold the previous batch's value.
-    with OBS.atomic():
-        OBS.count("compile_cache_hits_total", hits, backend=backend)
-        OBS.count("compile_cache_misses_total", misses, backend=backend)
-
-
-def intern_jobs(
-    workload: Workload, jobs: Sequence[Job]
-) -> tuple[list[Job], list[int], list[Any]]:
-    """Dedup jobs by content: ``(unique_jobs, slots, unique_keys)``.
-
-    ``slots[i]`` is the index into ``unique_jobs`` whose result job
-    ``i`` shares; ``unique_keys[u]`` is the program key of unique job
-    ``u``.  Equal jobs (same program content, same input) execute once
-    — determinism of the workload makes sharing exact.
-    """
-    index: dict[Any, int] = {}
-    unique: list[Job] = []
-    unique_keys: list[Any] = []
-    slots: list[int] = []
-    for job in jobs:
-        program, _input = job
-        key = workload.program_key(program)
-        ckey = (key, _input)
-        u = index.get(ckey)
-        if u is None:
-            u = index[ckey] = len(unique)
-            unique.append(job)
-            unique_keys.append(key)
-        slots.append(u)
-    return unique, slots, unique_keys
 
 
 def run_job_loop(
@@ -447,7 +429,7 @@ class SerialBackend:
         return results
 
 
-class ProcessBackend:
+class ProcessBackend(InternedBackend):
     """Chunked execution on a persistent ``concurrent.futures`` pool.
 
     The pool — and every worker's resident program table — survives
@@ -469,8 +451,12 @@ class ProcessBackend:
 
     ``chunksize=None`` enables adaptive dispatch: chunk sizes follow a
     per-program cost model and decay toward single jobs at the tail
-    (see the module docstring).  An explicit ``chunksize`` keeps the
-    static split of :meth:`_chunks`.
+    (see the module docstring).  An explicit ``chunksize`` cuts fixed
+    spans, the static split of
+    :func:`~repro.runtime.lifecycle.chunk_offsets` taken one span at a
+    time by :func:`~repro.runtime.lifecycle.take_span`.  Only the pool
+    transport lives here; the rest is
+    :class:`~repro.runtime.lifecycle.InternedBackend`.
     """
 
     name = "process"
@@ -484,130 +470,48 @@ class ProcessBackend:
         memo_size: int = 4096,
         table_size: int = 4096,
     ) -> None:
-        self.workload = workload
         self.workers = workers or os.cpu_count() or 1
         if self.workers < 1:
             raise ValueError("need at least one worker")
-        if chunksize is not None and chunksize < 1:
-            raise ValueError("chunksize must be >= 1 (or None for adaptive dispatch)")
-        self.chunksize = chunksize
-        self.last_cache_stats: dict[str, int] = dict(_ZERO_STATS)
-        self.last_dispatch: dict[str, int] = {}
-        self._pool: ProcessPoolExecutor | None = None
-        self._owner_pid = os.getpid()
-        # Master-side intern state.  generation tags worker tables to a
-        # pool incarnation; _table holds the program registry (for
-        # re-seeding), cost model and result memo; _seeded is the subset
-        # baked into the current pool's initializer (resident on
-        # *every* worker).
-        self.generation = 0
-        self._table = ProgramTable(workload, table_size=table_size, memo_size=memo_size)
-        self._seeded: set[int] = set()
+        super().__init__(workload, chunksize, memo_size=memo_size, table_size=table_size)
+        self._pool = WorkerPool(self.workers)
 
-    # -- warm lifecycle ------------------------------------------------------
+    @property
+    def generation(self) -> int:
+        """The pool build that worker resident tables are tagged with."""
+        return self._pool.generation
 
-    def warm(
-        self,
-        *,
-        jobs: Sequence[Job] = (),
-        programs: Sequence[Any] = (),
-    ) -> "ProcessBackend":
-        """Register programs and build the pool with them seeded.
+    # -- pool lifecycle ------------------------------------------------------
 
-        Under a forking start method the seeds transfer to workers by
-        memory inheritance — zero pickles; under spawn they are pickled
-        once per worker, in the initializer arguments.  Either way no
-        chunk payload ever carries a seeded program.
-        """
-        fresh = False
-        for program in list(programs) + [program for program, _ in jobs]:
-            pid = self._register(program)
-            fresh = fresh or pid not in self._seeded
-        if self._pool is not None and fresh:
+    def _forget(self, pid: int) -> None:
+        self._pool.seeded.discard(pid)
+
+    def _reseed(self, pids: Sequence[int]) -> None:
+        if self._pool.alive() and not self._pool.seeded.issuperset(pids):
             self.close()  # rebuild below so the new programs are seeded
         self._ensure_pool()
-        return self
-
-    def invalidate(self) -> None:
-        """Drop every warm table: pool, program registry, memo, costs."""
-        self.close()
-        self._table.clear()
 
     def recover(self) -> None:
         """Discard the pool — broken or not — so the next submit starts
         a fresh one under a new generation, re-seeded from the program
         registry.  This is the restart step after a worker crash
         surfaces as :class:`~concurrent.futures.process.BrokenProcessPool`."""
-        pool, self._pool = self._pool, None
-        self._seeded = set()
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+        self._pool.recover()
 
     def close(self) -> None:
-        if not enter_close(self):
-            return
-        pool, self._pool = self._pool, None
-        self._seeded = set()
-        if pool is not None:
-            pool.shutdown()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing
-        try:
-            if os.getpid() == self._owner_pid:
-                self.close()
-        except Exception:
-            pass
-
-    # -- intern bookkeeping --------------------------------------------------
-
-    def _register(self, program: Any) -> int:
-        """Intern a program; returns its compact program id."""
-        pid, evicted = self._table.register(program)
-        if evicted is not None:
-            self._seeded.discard(evicted)
-        return pid
+        self._pool.close()
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is not None and os.getpid() != self._owner_pid:
-            # Fork-unsafe state: this object was copied into a child
-            # process.  The pool's queues and worker processes belong
-            # to the parent — drop the reference (never shut the
-            # parent's workers down from here) and rebuild.
-            self._pool = None
-            self._seeded = set()
-        if self._pool is None:
-            self.generation += 1
-            seeds = [(pid, program) for pid, (_, program) in self._table.known.items()]
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_worker_warm,
-                initargs=(self.generation, seeds),
-            )
-            self._seeded = {pid for pid, _ in seeds}
-            self._owner_pid = os.getpid()
-            mark_open(self)
-        return self._pool
+        return self._pool.get(lambda: [(pid, p) for pid, (_, p) in self._table.known.items()])
 
     # -- chunk-level API (the supervision surface) ---------------------------
 
     def _submit_entries(
-        self,
-        pool: ProcessPoolExecutor,
-        entries: Sequence[tuple[int, Any]],
-        *,
-        fuel: int,
-        compiled: bool,
+        self, entries: Sequence[tuple[int, Any]], *, fuel: int, compiled: bool
     ) -> tuple[Future, int]:
-        """Submit interned entries; returns ``(future, payload_bytes)``.
-
-        Ships the program source for any id the current pool was not
-        seeded with — at most once per chunk, however many entries
-        reference it.
-        """
-        shipped: dict[int, Any] = {}
-        for pid, _ in entries:
-            if pid not in self._seeded and pid not in shipped:
-                shipped[pid] = self._table.known[pid][1]
+        """Submit interned entries; returns ``(future, payload_bytes)``."""
+        pool = self._ensure_pool()
+        shipped = self._shipped(entries, self._pool.seeded)
         ctx = current_context()
         payload = (self.workload, self.generation, tuple(entries), shipped, fuel, compiled)
         if ctx is not None:
@@ -628,12 +532,9 @@ class ProcessBackend:
         let ``run_jobs`` close backends it created by name).
         """
         entries = [(self._register(program), input) for program, input in chunk]
-        future, _ = self._submit_entries(
-            self._ensure_pool(), entries, fuel=fuel, compiled=compiled
-        )
-        return future
+        return self._submit_entries(entries, fuel=fuel, compiled=compiled)[0]
 
-    # -- dispatch planning ---------------------------------------------------
+    # -- dispatch ------------------------------------------------------------
 
     def _chunks(self, jobs: Sequence) -> list[Sequence]:
         """Static split via the shared planner, order-preserving.
@@ -648,87 +549,9 @@ class ProcessBackend:
             for plan in plan_chunks(jobs, chunksize=self.chunksize, workers=self.workers)
         ]
 
-    # -- execution -----------------------------------------------------------
-
-    def execute(
-        self,
-        jobs: Sequence[Job],
-        *,
-        fuel: int,
-        compiled: bool,
-        cache: ResidentCache | None = None,
-    ) -> list[Any]:
-        # Reset at entry: a chunk that raises mid-batch used to leave
-        # the previous run's tallies behind.
-        self.last_cache_stats = dict(_ZERO_STATS)
-        self.last_dispatch = {}
-        if not jobs:
-            return []
-        unique, slots, _ = intern_jobs(self.workload, jobs)
-        pids = [self._register(program) for program, _ in unique]
-
-        # Warm memo: a (program, input, fuel) triple this backend has
-        # already answered never goes back to the pool.
-        unique_results, pending = self._table.recall(pids, unique, fuel, compiled)
-
-        settler = ChunkSettler(self.name)
-        aggregate = settler.aggregate
-        chunks = steals = payload_bytes = 0
-        try:
-            if pending:
-                with OBS.span(
-                    "batch.pool", backend=self.name, jobs=len(jobs), pending=len(pending)
-                ):
-                    chunks, steals, payload_bytes = self._dispatch(
-                        pending, unique, pids, unique_results, settler, fuel, compiled
-                    )
-        finally:
-            # Failure-safe: on an exception this reflects exactly the
-            # chunks that completed, never the previous run.
-            executed = set(pending)
-            dup_of_executed = sum(1 for s in slots if s in executed) - len(executed)
-            warm_hits = sum(1 for s in slots if s not in executed)
-            self.last_cache_stats = {
-                "hits": aggregate["hits"] + (dup_of_executed if compiled else 0),
-                "misses": aggregate["misses"],
-                "size": aggregate["size"],
-            }
-            # warm_hits is kept as the historical alias; memo_hits is
-            # the explicit field that disambiguates "answered from the
-            # warm result memo" from "nothing ran" — a memo-served
-            # batch reports chunks=0, payload_bytes=0 *and* memo_hits=N
-            # rather than looking like an empty dispatch.
-            self.last_dispatch = dispatch_summary(
-                len(jobs),
-                len(unique),
-                chunks=chunks,
-                steals=steals,
-                payload_bytes=payload_bytes,
-                warm_hits=warm_hits,
-                memo_hits=warm_hits,
-                ensemble_jobs=0,
-            )
-        out = [unique_results[s] for s in slots]
-        if any(r is None for r in out):  # pragma: no cover - defensive
-            raise RuntimeError("dispatch completed with unfilled result slots")
-        self._table.remember(pids, unique, unique_results, fuel, compiled)
-        if cache is not None:
-            cache.absorb(self.last_cache_stats)
-        if OBS.enabled:
-            OBS.gauge("batch_queue_depth", chunks, backend=self.name)
-            _record_cache_metrics(
-                self.name, self.last_cache_stats["hits"], self.last_cache_stats["misses"]
-            )
-            if steals:
-                OBS.count("batch_steal_total", steals, backend=self.name)
-            if payload_bytes:
-                OBS.count("batch_payload_bytes", payload_bytes, backend=self.name)
-            if warm_hits:
-                OBS.count("batch_warm_hits", warm_hits, backend=self.name)
-        return out
-
     def _dispatch(
         self,
+        jobs: int,
         pending: list[int],
         unique: Sequence[Job],
         pids: Sequence[int],
@@ -736,74 +559,50 @@ class ProcessBackend:
         settler: ChunkSettler,
         fuel: int,
         compiled: bool,
-    ) -> tuple[int, int, int]:
+        tally: dict[str, int],
+    ) -> None:
         """Drive the pool over ``pending`` unique-job indices.
 
-        Returns ``(chunks, steals, payload_bytes)``.  Chunk *contents*
-        are deterministic — each pull takes a ``1/(2·workers)`` share
-        of the remaining estimated cost off the front of the straggler
-        queue — only the chunk→worker assignment races.
+        Chunk *contents* are deterministic — each pull is a
+        :func:`~repro.runtime.lifecycle.take_span` off the front of one
+        straggler queue — only the chunk→worker assignment races.
         """
-        pool = self._ensure_pool()
-        static = self.chunksize is not None
-        if static:
-            spans = deque(self._chunks(pending))
-            remainder: deque[int] = deque()
-            remaining_cost = 0.0
-            estimates: dict[int, float] = {}
-        else:
-            spans = deque()
-            remainder = deque(pending)
+        with OBS.span("batch.pool", backend=self.name, jobs=jobs, pending=len(pending)):
+            queue = deque(pending)
             estimates = dict(zip(pending, self._table.estimates([pids[u] for u in pending])))
-            remaining_cost = sum(estimates.values())
-
-        def next_span() -> list[int] | None:
-            nonlocal remaining_cost
-            if static:
-                return list(spans.popleft()) if spans else None
-            if not remainder:
-                return None
-            share = max(1.0, remaining_cost / (2 * self.workers))
-            span: list[int] = []
-            acc = 0.0
-            while remainder and (not span or acc < share):
-                u = remainder.popleft()
-                span.append(u)
-                acc += estimates[u]
-            remaining_cost -= acc
-            return span
-
-        chunks = steals = payload_bytes = 0
-        in_flight: dict[Future, list[int]] = {}
-        try:
-            while True:
-                while len(in_flight) < self.workers:
-                    span = next_span()
-                    if span is None:
+            remaining = sum(estimates.values())
+            chunks = steals = payload_bytes = 0
+            in_flight: dict[Future, list[int]] = {}
+            try:
+                while True:
+                    while queue and len(in_flight) < self.workers:
+                        span, cost = take_span(
+                            queue, estimates, remaining, self.workers, self.chunksize
+                        )
+                        remaining -= cost
+                        entries = [(pids[u], unique[u][1]) for u in span]
+                        future, size = self._submit_entries(entries, fuel=fuel, compiled=compiled)
+                        payload_bytes += size
+                        if chunks >= self.workers:
+                            steals += 1  # a pull beyond the initial wave
+                        chunks += 1
+                        in_flight[future] = span
+                    if not in_flight:
                         break
-                    entries = [(pids[u], unique[u][1]) for u in span]
-                    future, size = self._submit_entries(
-                        pool, entries, fuel=fuel, compiled=compiled
-                    )
-                    payload_bytes += size
-                    if chunks >= self.workers:
-                        steals += 1  # a pull beyond the initial wave
-                    chunks += 1
-                    in_flight[future] = span
-                if not in_flight:
-                    break
-                done, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
-                for future in done:
-                    span = in_flight.pop(future)
-                    results = settler.settle(future.result())
-                    for u, result in zip(span, results):
-                        unique_results[u] = result
-                        self._table.observe_cost(pids[u], self.workload.cost(result))
-        except BaseException:
-            for future in in_flight:
-                future.cancel()
-            raise
-        return chunks, steals, payload_bytes
+                    done, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
+                    for future in done:
+                        span = in_flight.pop(future)
+                        self._scatter(span, settler.settle(future.result()), pids, unique_results)
+            except BaseException:
+                for future in in_flight:
+                    future.cancel()
+                raise
+        tally.update(chunks=chunks, steals=steals, payload_bytes=payload_bytes)
+
+    def _observe(self, tally: dict[str, int]) -> None:
+        OBS.gauge("batch_queue_depth", tally["chunks"], backend=self.name)
+        if tally["steals"]:
+            OBS.count("batch_steal_total", tally["steals"], backend=self.name)
 
 
 def _supervised_backend(workload: Workload, **kwargs):

@@ -28,8 +28,15 @@ implementations:
 Both backends expose the chunk-level ``submit_chunk``/``recover``/
 ``close`` surface, so :class:`repro.faults.supervisor.SupervisedBackend`
 drives them unchanged: a killed shard surfaces as a crash, the pool
-restarts under a new generation, and the census is re-run without a
-result lost.
+(a :class:`~repro.runtime.lifecycle.WorkerPool`) restarts under a new
+generation, and the census is re-run without a result lost.
+
+Each batch is interned once per backend: :class:`EnsembleBackend`
+interns before :func:`_run_ensemble`, and the process backend's
+``execute`` interns on the coordinator before sharding, so its shards
+run exactly the unique jobs they are given.  A chunk handed straight
+to ``submit_chunk`` (by a wrapper that does not intern) is interned
+inside its shard.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import pickle
 import time
 from collections import OrderedDict
 from collections.abc import Sequence
-from concurrent.futures import Future, ProcessPoolExecutor, wait
+from concurrent.futures import Future, wait
 from typing import Any, Protocol, runtime_checkable
 
 from repro.obs.instrument import OBS
@@ -59,7 +66,7 @@ from repro.runtime.core import (
     intern_jobs,
     run_job_loop,
 )
-from repro.runtime.lifecycle import ChunkSettler, dispatch_summary, enter_close, mark_open
+from repro.runtime.lifecycle import ChunkSettler, WorkerPool, dispatch_summary, enter_close
 from repro.runtime.workload import Job, Workload
 
 __all__ = [
@@ -123,8 +130,9 @@ def _require_capable(workload: Workload) -> None:
 
 def _run_ensemble(
     workload: Workload,
-    jobs: Sequence[Job],
+    unique: Sequence[Job],
     *,
+    slots: Sequence[int] | None = None,
     fuel: int,
     compiled: bool,
     spec_cache: OrderedDict | None = None,
@@ -136,6 +144,13 @@ def _run_ensemble(
 ) -> tuple[list[Any], dict[str, int], tuple[EnsembleOutcome, list[int]] | None]:
     """The ensemble execution core both backends share.
 
+    Runs exactly the ``unique`` jobs it is given; the caller has
+    already interned them.  ``slots`` maps each job of the caller's
+    batch to its unique job, as :func:`intern_jobs` returns it, so equal
+    ``(program, input)`` jobs share one family row and *one result
+    object*; ``None`` means every job is unique (an ``execute`` shard,
+    whose coordinator interned the batch before sharding).
+
     Returns ``(results, stats, pack_info)``: one exact result per job
     in order; the resident-cache tallies (spec-cache hits/misses for
     batched jobs, compile cache for fallback ones) plus the
@@ -144,15 +159,12 @@ def _run_ensemble(
     ``(outcome, job_rows)`` giving each job its family row (``-1`` for
     fallback jobs) — what shared-memory packing needs.
 
-    Jobs are content-interned first, exactly like the serial and
-    process backends: equal ``(program, input)`` jobs map to one
-    family row and *share one result object*.
-
     ``compiled=False`` keeps the ``run_direct`` contract literally —
     everything takes the fallback loop — because the caller asked for
     the reference path, not an equivalent one.
     """
-    jobs = list(jobs)
+    if slots is None:
+        slots = range(len(unique))
     stats = {
         "hits": 0,
         "misses": 0,
@@ -163,11 +175,10 @@ def _run_ensemble(
         "fallback_jobs": 0,
         "lock_steps": 0,
     }
-    if not jobs:
+    if not slots:
         return [], stats, None
-    unique, slots, _ = intern_jobs(workload, jobs)
     stats["unique_jobs"] = len(unique)
-    stats["deduped"] = len(jobs) - len(unique)
+    stats["deduped"] = len(slots) - len(unique)
     if compiled:
         # A deduped duplicate reuses a settled row without even a
         # cache probe — the purest hit there is (mirrors SerialBackend).
@@ -261,9 +272,9 @@ def _run_ensemble(
         job_rows = [row_of_unique[s] for s in slots]
         pack_info = (outcome, job_rows)
         stats["ensemble_jobs"] = sum(1 for r in job_rows if r >= 0)
-        stats["fallback_jobs"] = len(jobs) - stats["ensemble_jobs"]
+        stats["fallback_jobs"] = len(slots) - stats["ensemble_jobs"]
     elif fallback:
-        stats["fallback_jobs"] = len(jobs)
+        stats["fallback_jobs"] = len(slots)
     return results, stats, pack_info
 
 
@@ -354,9 +365,11 @@ class EnsembleBackend:
     def _run(
         self, jobs: Sequence[Job], *, fuel: int, compiled: bool
     ) -> tuple[list[Any], dict[str, int], list[int]]:
+        unique, slots, _ = intern_jobs(self.workload, jobs)
         return _run_ensemble(
             self.workload,
-            jobs,
+            unique,
+            slots=slots,
             fuel=fuel,
             compiled=compiled,
             spec_cache=self._specs,
@@ -433,8 +446,13 @@ def _shm_arrays(buf, layout: list[tuple[str, str, int]], count: int) -> dict[str
     }
 
 
-def _run_ensemble_shard(blob: bytes) -> tuple[Any, dict[str, int], float]:
+def _run_ensemble_shard(blob: bytes, interned: bool) -> tuple[Any, dict[str, int], float]:
     """Pool-worker entry point (module-level so it pickles).
+
+    ``interned`` says the coordinator already deduplicated the shard's
+    jobs (:meth:`EnsembleProcessBackend.execute`), so they run as given,
+    never content-hashed again; a raw ``submit_chunk`` chunk is interned
+    here, so its duplicates still share one family row.
 
     Returns ``(spill, stats, elapsed)``.  With shared-memory transport
     the verdict/score arrays are written into the parent's block and
@@ -449,8 +467,9 @@ def _run_ensemble_shard(blob: bytes) -> tuple[Any, dict[str, int], float]:
 
     def body() -> tuple[Any, dict[str, int], float]:
         start = time.perf_counter()
+        unique, slots = (jobs, None) if interned else intern_jobs(workload, jobs)[:2]
         results, stats, pack_info = _run_ensemble(
-            workload, jobs, fuel=fuel, compiled=compiled, **caps
+            workload, unique, slots=slots, fuel=fuel, compiled=compiled, **caps
         )
         spill: Any = results
         if shm_name is not None:
@@ -567,47 +586,21 @@ class EnsembleProcessBackend:
         }
         self.last_cache_stats: dict[str, int] = dict(_ZERO_STATS)
         self.last_dispatch: dict[str, int] = {}
-        self.generation = 0
-        self._pool: ProcessPoolExecutor | None = None
-        self._owner_pid = os.getpid()
+        self._pool = WorkerPool(self.workers)
         self._live_shm: set = set()
 
     # -- pool lifecycle ------------------------------------------------------
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is not None and os.getpid() != self._owner_pid:
-            # Forked copy: the pool belongs to the parent process.
-            self._pool = None
-        if self._pool is None:
-            self.generation += 1
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            self._owner_pid = os.getpid()
-            mark_open(self)
-        return self._pool
 
     def recover(self) -> None:
         """Drop the pool (broken or not); the next submit rebuilds it
         under a new generation.  In-flight shared-memory blocks are
         unlinked by their wrapper callbacks as the futures die."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+        self._pool.recover()
 
     def close(self) -> None:
-        if not enter_close(self):
-            return
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown()
+        self._pool.close()
         for shm in list(self._live_shm):
             self._release_shm(shm)
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing
-        try:
-            if os.getpid() == self._owner_pid:
-                self.close()
-        except Exception:
-            pass
 
     def _release_shm(self, shm) -> None:
         self._live_shm.discard(shm)
@@ -623,6 +616,11 @@ class EnsembleProcessBackend:
         """Submit one shard; the future resolves to the standard
         ``(results, stats, elapsed)`` payload with results rebuilt from
         the shared-memory block on this side of the boundary."""
+        return self._submit(chunk, fuel=fuel, compiled=compiled, interned=False)
+
+    def _submit(
+        self, chunk: Sequence[Job], *, fuel: int, compiled: bool, interned: bool
+    ) -> Future:
         chunk = list(chunk)
         fields = self.workload.ensemble_fields()
         shm = None
@@ -643,7 +641,7 @@ class EnsembleProcessBackend:
         outer.payload_bytes = len(blob)
         outer.shm_bytes = shm.size if shm is not None else 0
         try:
-            inner = self._ensure_pool().submit(_run_ensemble_shard, blob)
+            inner = self._pool.get().submit(_run_ensemble_shard, blob, interned)
         except BaseException:
             if shm is not None:
                 self._release_shm(shm)
@@ -725,7 +723,7 @@ class EnsembleProcessBackend:
             futures = []
             try:
                 for shard in shards:
-                    future = self.submit_chunk(shard, fuel=fuel, compiled=compiled)
+                    future = self._submit(shard, fuel=fuel, compiled=compiled, interned=True)
                     payload_bytes += future.payload_bytes
                     shm_bytes += future.shm_bytes
                     futures.append(future)

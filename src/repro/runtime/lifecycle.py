@@ -20,32 +20,80 @@ This module is that state machine extracted once.  The session
 scheduler (:mod:`repro.runtime.session`) drives the same pieces for
 its micro-batched flush units, so "one chunk's life" means the same
 thing whether it was born from a one-shot ``execute()`` or a stream of
-``Session.submit()`` calls.  It also holds the master-side
-:class:`ProgramTable` the pool and dist backends share and
-:func:`dispatch_summary`, the one builder of every backend's
-``last_dispatch``.
+``Session.submit()`` calls.  It also holds what the pooled leaves
+share: :func:`intern_jobs`, the master-side :class:`ProgramTable`,
+:func:`dispatch_summary` (every backend's ``last_dispatch``),
+:class:`WorkerPool` (the one process-pool lifecycle, held by the
+process and ensemble-process backends and by comm nodes) and
+:class:`InternedBackend` (the one interned ``execute`` with ``warm``,
+``invalidate`` and the :func:`take_span` rule, shared by the process
+and dist backends, which keep only their transports).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from collections.abc import Sequence
+import os
+from collections import OrderedDict, deque
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
 from repro.obs.instrument import OBS
 from repro.obs.telemetry import absorb_chunk_telemetry
+from repro.runtime.workload import Job, Workload
 
 __all__ = [
     "ChunkPlan",
     "ChunkSettler",
+    "InternedBackend",
     "ProgramTable",
+    "WorkerPool",
     "chunk_offsets",
     "dispatch_summary",
+    "intern_jobs",
     "plan_chunks",
+    "take_span",
     "enter_close",
     "mark_open",
 ]
+
+_ZERO_STATS = {"hits": 0, "misses": 0, "size": 0}
+
+
+def _record_cache_metrics(backend: str, hits: int, misses: int) -> None:
+    # One atomic burst: a snapshot can never see hits updated while
+    # the paired misses still hold the previous batch's value.
+    with OBS.atomic():
+        OBS.count("compile_cache_hits_total", hits, backend=backend)
+        OBS.count("compile_cache_misses_total", misses, backend=backend)
+
+
+def intern_jobs(
+    workload: Workload, jobs: Sequence[Job]
+) -> tuple[list[Job], list[int], list[Any]]:
+    """Dedup jobs by content: ``(unique_jobs, slots, unique_keys)``.
+
+    ``slots[i]`` is the index into ``unique_jobs`` whose result job
+    ``i`` shares; ``unique_keys[u]`` is the program key of unique job
+    ``u``.  Equal jobs (same program content, same input) execute once
+    — determinism of the workload makes sharing exact.
+    """
+    index: dict[Any, int] = {}
+    unique: list[Job] = []
+    unique_keys: list[Any] = []
+    slots: list[int] = []
+    for job in jobs:
+        program, _input = job
+        key = workload.program_key(program)
+        ckey = (key, _input)
+        u = index.get(ckey)
+        if u is None:
+            u = index[ckey] = len(unique)
+            unique.append(job)
+            unique_keys.append(key)
+        slots.append(u)
+    return unique, slots, unique_keys
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +152,37 @@ def plan_chunks(
         end = offsets[n + 1] if n + 1 < len(offsets) else len(jobs)
         plans.append(ChunkPlan(start, tuple(jobs[start:end])))
     return plans
+
+
+def take_span(
+    queue: deque[int],
+    estimates: Mapping[int, float],
+    remaining: float,
+    workers: int,
+    chunksize: int | None,
+) -> tuple[list[int], float]:
+    """Pull ``(span, its estimated cost)`` off the front of ``queue``.
+
+    A ``chunksize`` takes the first slice of
+    ``chunk_offsets(len(queue), chunksize)``, so repeated pulls cut the
+    static split one span at a time (only the first
+    ``2·chunksize + 1`` jobs can decide that slice).  Adaptive dispatch
+    takes a ``1/(2·workers)`` share of the ``remaining`` cost, at least
+    one job, so spans decay toward single jobs at the tail.
+    """
+    if chunksize is not None:
+        offsets = chunk_offsets(min(len(queue), 2 * chunksize + 1), chunksize)
+        size = offsets[1] if len(offsets) > 1 else len(queue)
+        span = [queue.popleft() for _ in range(size)]
+        return span, sum(estimates[u] for u in span)
+    share = max(1.0, remaining / (2 * max(1, workers)))
+    span: list[int] = []
+    acc = 0.0
+    while queue and (not span or acc < share):
+        u = queue.popleft()
+        span.append(u)
+        acc += estimates[u]
+    return span, acc
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +317,14 @@ class ProgramTable:
         self.cost: dict[int, float] = {}
         self._next_id = 0
 
-    def register(self, program: Any) -> tuple[int, int | None]:
-        """Intern a program: ``(program id, evicted id or None)``."""
-        key = self.workload.program_key(program)
+    def register(self, program: Any, key: Any = None) -> tuple[int, int | None]:
+        """Intern a program: ``(program id, evicted id or None)``.
+
+        ``key`` is the program's ``program_key`` when the caller already
+        has it (:func:`intern_jobs` computes it); ``None`` computes it.
+        """
+        if key is None:
+            key = self.workload.program_key(program)
         pid = self.ids.get(key)
         if pid is None:
             pid = self._next_id
@@ -330,9 +414,11 @@ def enter_close(backend: Any) -> bool:
     Backends open their ``close()`` with ``if not enter_close(self):
     return`` so a double close is a no-op by construction rather than
     by each backend's private state happening to tolerate it.  Reopen
-    points (``_ensure_pool``, ``_ensure_comm``, …) call
+    points (``_ensure_comm``, …) call
     :func:`mark_open` so the close-execute-close lifecycle still works
-    for backends that rebuild lazily.
+    for backends that rebuild lazily.  A :class:`WorkerPool` owner needs
+    neither: the pool's own ``close()`` is idempotent and its ``get()``
+    reopens.
     """
     if getattr(backend, _CLOSED_FLAG, False):
         return False
@@ -349,3 +435,204 @@ def mark_open(backend: Any) -> None:
         setattr(backend, _CLOSED_FLAG, False)
     except AttributeError:  # pragma: no cover - __slots__ backends opt out
         pass
+
+
+# ---------------------------------------------------------------------------
+# The pooled leaves: one pool lifecycle, one interned execute
+# ---------------------------------------------------------------------------
+
+
+class WorkerPool:
+    """One ``ProcessPoolExecutor`` and its whole lifecycle.
+
+    :meth:`get` builds it lazily with
+    :func:`~repro.runtime.core._worker_warm` as the initializer, so
+    every worker starts with ``seeds()`` resident (inherited under
+    fork, zero pickles; pickled once per worker under spawn) under the
+    build's generation: the one the owner passes (a comm node takes the
+    coordinator's), else the previous build's plus one.  ``seeded``
+    holds the seeded ids.  :meth:`alive` is the fork guard: it drops an
+    executor inherited from a parent process without shutting the
+    parent's workers down.  :meth:`recover` abandons the executor
+    (cancel, no wait); :meth:`close` waits for it, idempotently.
+    """
+
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+        self.executor: ProcessPoolExecutor | None = None
+        self.generation = 0
+        self.seeded: set[int] = set()
+        self.owner_pid = os.getpid()
+
+    def alive(self) -> bool:
+        if self.executor is not None and os.getpid() != self.owner_pid:
+            self.discard()
+        return self.executor is not None
+
+    def get(
+        self, seeds: Callable[[], Iterable[tuple[int, Any]]] = tuple, generation: int | None = None
+    ) -> ProcessPoolExecutor:
+        """The live executor, or a fresh one if there is none."""
+        if self.alive():
+            return self.executor
+        from repro.runtime.core import _worker_warm  # core imports this module
+
+        self.generation = self.generation + 1 if generation is None else generation
+        seeded = list(seeds())
+        self.executor = ProcessPoolExecutor(
+            max_workers=self.workers,
+            initializer=_worker_warm,
+            initargs=(self.generation, seeded),
+        )
+        self.seeded = {pid for pid, _ in seeded}
+        self.owner_pid = os.getpid()
+        return self.executor
+
+    def discard(self) -> None:
+        """Forget the executor without shutting it down."""
+        self.executor = None
+        self.seeded = set()
+
+    def recover(self) -> None:
+        self.close(wait=False)
+
+    def close(self, *, wait: bool = True) -> None:
+        executor = self.executor
+        self.discard()
+        if executor is not None:
+            executor.shutdown(wait=wait, cancel_futures=not wait)
+
+    def __del__(self) -> None:  # pragma: no cover - GC timing
+        try:
+            if os.getpid() == self.owner_pid:
+                self.close()
+        except Exception:
+            pass
+
+
+class InternedBackend:
+    """The master side :class:`~repro.runtime.core.ProcessBackend` and
+    :class:`~repro.comm.dist.DistBackend` share: one
+    :class:`ProgramTable`, ``warm``/``invalidate``, and :meth:`execute`.
+
+    A subclass supplies its transport, ``_dispatch``, which runs the
+    pending unique jobs under its own ``batch.pool`` span and counts
+    into the dict ``_tally()`` started; ``_observe`` emits its metrics
+    after a successful batch.  ``_reseed(pids)`` seeds the registered
+    ``pids`` wherever they are missing, and ``_forget(pid)`` drops an
+    id the table evicted from every seeded set.
+    """
+
+    name: str
+
+    def __init__(
+        self, workload: Workload, chunksize: int | None, *, memo_size: int, table_size: int
+    ) -> None:
+        if chunksize is not None and chunksize < 1:
+            raise ValueError("chunksize must be >= 1 (or None for adaptive dispatch)")
+        self.workload = workload
+        self.chunksize = chunksize
+        self.last_cache_stats: dict[str, int] = dict(_ZERO_STATS)
+        self.last_dispatch: dict[str, Any] = {}
+        self._table = ProgramTable(workload, table_size=table_size, memo_size=memo_size)
+
+    def _register(self, program: Any, key: Any = None) -> int:
+        """Intern a program; returns its compact program id."""
+        pid, evicted = self._table.register(program, key)
+        if evicted is not None:
+            self._forget(evicted)
+        return pid
+
+    def _tally(self) -> dict[str, Any]:
+        """The ``last_dispatch`` fields ``_dispatch`` fills in, zeroed."""
+        return {"chunks": 0, "steals": 0, "payload_bytes": 0}
+
+    def _shipped(self, entries: Sequence[tuple[int, Any]], seeded: set[int]) -> dict[int, Any]:
+        """Sources of the unseeded ids in ``entries``, once per chunk."""
+        shipped: dict[int, Any] = {}
+        for pid, _ in entries:
+            if pid not in seeded and pid not in shipped:
+                shipped[pid] = self._table.known[pid][1]
+        return shipped
+
+    def _scatter(
+        self, span: Sequence[int], results: Sequence[Any], pids: Sequence[int], out: list[Any]
+    ) -> None:
+        """Place a settled span's results and feed the cost model."""
+        for u, result in zip(span, results):
+            out[u] = result
+            self._table.observe_cost(pids[u], self.workload.cost(result))
+
+    def warm(self, *, jobs: Sequence[Job] = (), programs: Sequence[Any] = ()) -> InternedBackend:
+        """Register programs and seed each where it will run, so no
+        chunk payload carries them."""
+        self._reseed([self._register(p) for p in [*programs, *(p for p, _ in jobs)]])
+        return self
+
+    def invalidate(self) -> None:
+        """Drop every warm table: workers, program registry, memo, costs."""
+        self.close()
+        self._table.clear()
+
+    def execute(
+        self, jobs: Sequence[Job], *, fuel: int, compiled: bool, cache: Any = None
+    ) -> list[Any]:
+        # Reset at entry: a chunk that raises mid-batch must not leave
+        # the previous run's tallies behind.
+        self.last_cache_stats = dict(_ZERO_STATS)
+        self.last_dispatch = {}
+        if not jobs:
+            return []
+        unique, slots, keys = intern_jobs(self.workload, jobs)
+        pids = [self._register(job[0], key) for job, key in zip(unique, keys)]
+        # Warm memo: a (program, input, fuel) triple this backend has
+        # already answered is never dispatched again.
+        unique_results, pending = self._table.recall(pids, unique, fuel, compiled)
+        settler = ChunkSettler(self.name)
+        tally = self._tally()
+        try:
+            if pending:
+                self._dispatch(
+                    len(jobs), pending, unique, pids, unique_results, settler, fuel, compiled, tally
+                )
+        finally:
+            # Failure-safe: on an exception this reflects exactly the
+            # chunks that completed, never the previous run.
+            executed = set(pending)
+            dup_of_executed = sum(1 for s in slots if s in executed) - len(executed)
+            warm_hits = sum(1 for s in slots if s not in executed)
+            aggregate = settler.aggregate
+            self.last_cache_stats = {
+                "hits": aggregate["hits"] + (dup_of_executed if compiled else 0),
+                "misses": aggregate["misses"],
+                "size": aggregate["size"],
+            }
+            # warm_hits is kept as the historical alias; memo_hits is
+            # the explicit field that disambiguates "answered from the
+            # warm result memo" from "nothing ran" — a memo-served
+            # batch reports chunks=0, payload_bytes=0 *and* memo_hits=N
+            # rather than looking like an empty dispatch.
+            self.last_dispatch = dispatch_summary(
+                len(jobs),
+                len(unique),
+                warm_hits=warm_hits,
+                memo_hits=warm_hits,
+                ensemble_jobs=0,
+                **tally,
+            )
+        out = [unique_results[s] for s in slots]
+        if any(r is None for r in out):  # pragma: no cover - defensive
+            raise RuntimeError("dispatch completed with unfilled result slots")
+        self._table.remember(pids, unique, unique_results, fuel, compiled)
+        if cache is not None:
+            cache.absorb(self.last_cache_stats)
+        if OBS.enabled:
+            self._observe(tally)
+            _record_cache_metrics(
+                self.name, self.last_cache_stats["hits"], self.last_cache_stats["misses"]
+            )
+            if tally["payload_bytes"]:
+                OBS.count("batch_payload_bytes", tally["payload_bytes"], backend=self.name)
+            if warm_hits:
+                OBS.count("batch_warm_hits", warm_hits, backend=self.name)
+        return out

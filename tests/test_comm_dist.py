@@ -36,7 +36,7 @@ from repro.machines.turing import (
     unary_adder,
 )
 from repro.runtime import run_jobs
-from repro.runtime.core import create_backend
+from repro.runtime.core import ProcessBackend, create_backend
 from repro.runtime.workloads.complang import COMPLANG, complang_job
 from repro.runtime.workloads.machines import MACHINES
 from repro.runtime.workloads.sat import SAT, sat_job
@@ -321,3 +321,33 @@ def test_composite_chain_rejects_unknown_prefix():
 def test_composite_chain_rejects_unknown_leaf():
     with pytest.raises(ValueError, match="unknown leaf backend 'dost'"):
         create_backend("journaled:dost", workload="machines")
+
+
+def test_process_and_dist_settle_alike_through_the_shared_execute():
+    """``process`` and ``dist`` run one interned ``execute``: the same
+    batch — duplicates, then memo-served, then after ``invalidate()`` —
+    gives equal results and equal dispatch and cache tallies."""
+    jobs = _TM_POOL + _TM_POOL[:3] + [(binary_increment(), "111")]
+    process = ProcessBackend(MACHINES, workers=1)
+    dist = loopback_backend(MACHINES, nodes=1)
+    fields = ("jobs", "unique_jobs", "deduped", "warm_hits", "memo_hits")
+    try:
+        for step in ("duplicates", "memo", "invalidated"):
+            if step == "invalidated":
+                process.invalidate()
+                dist.invalidate()
+            got = [b.execute(jobs, fuel=FUEL, compiled=True) for b in (process, dist)]
+            assert got[0] == got[1] == run_jobs(MACHINES, jobs), step
+            summaries = [
+                (
+                    *(b.last_dispatch[f] for f in fields),
+                    b.last_cache_stats["hits"],
+                    b.last_cache_stats["misses"],
+                )
+                for b in (process, dist)
+            ]
+            assert summaries[0] == summaries[1], step
+            assert process.last_dispatch["memo_hits"] == (len(jobs) if step == "memo" else 0)
+    finally:
+        process.close()
+        dist.close()

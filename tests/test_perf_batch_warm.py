@@ -235,26 +235,39 @@ def test_worker_rejects_unknown_program_id():
         _run_workload_chunk((TM, 7, [(99, "1")], {}, 10_000, False))
 
 
-def test_fork_pid_guard_rebuilds_pool():
-    backend = ProcessBackend(TM, workers=2)
+def _check_fork_pid_guard(backend):
+    """The fork guard every ``WorkerPool`` owner inherits."""
     try:
         jobs = [(binary_increment(), "1" * (i + 1)) for i in range(4)]
         run_jobs("machines", jobs, backend=backend)
-        old_pool = backend._pool
-        generation = backend.generation
+        pool = backend._pool
+        old_pool = pool.executor
+        generation = pool.generation
         # Simulate waking up inside an os.fork() child: the recorded
         # owner pid no longer matches.  The guard must drop the
         # (parent-owned) pool reference without shutting it down and
         # build a fresh pool under a new generation.
-        backend._owner_pid = backend._owner_pid - 1
+        pool.owner_pid = pool.owner_pid - 1
         fresh_jobs = [(binary_increment(), "10" * (i + 4)) for i in range(4)]
         assert run_jobs("machines", fresh_jobs, backend=backend) == reference_results(fresh_jobs)
-        assert backend._pool is not old_pool
-        assert backend.generation == generation + 1
-        assert backend._owner_pid == os.getpid()
+        assert pool.executor is not old_pool
+        assert pool.generation == generation + 1
+        assert pool.owner_pid == os.getpid()
     finally:
         backend.close()
         old_pool.shutdown()  # the "parent's" pool, orphaned by the guard
+
+
+def test_fork_pid_guard_rebuilds_pool():
+    backend = ProcessBackend(TM, workers=2)
+    _check_fork_pid_guard(backend)
+    assert backend.generation == backend._pool.generation
+
+
+def test_fork_pid_guard_rebuilds_ensemble_pool():
+    from repro.runtime.ensemble import EnsembleProcessBackend
+
+    _check_fork_pid_guard(EnsembleProcessBackend(TM, workers=2))
 
 
 # -- adaptive dispatch --------------------------------------------------------

@@ -196,6 +196,11 @@ def test_resident_cache_lets_prepare_raise():
     with pytest.raises(ValueError, match="unpreparable"):
         cache.get(-1)
     assert cache.misses == 1  # the failed probe still counted
+    # The failure is remembered: a second probe re-raises without
+    # preparing again and counts as a hit, like a worker table's.
+    with pytest.raises(ValueError, match="unpreparable"):
+        cache.get(-1)
+    assert (cache.hits, cache.misses) == (1, 1)
 
 
 def test_run_job_loop_falls_back_to_run_direct_on_unpreparable():
@@ -343,6 +348,27 @@ def test_serial_and_process_submit_chunk_settle_alike(workload, chunk, compiled,
     results, stats, _ = serial.result()
     assert pickle.dumps(results) == pickle.dumps(pooled[0])
     assert (stats["hits"], stats["misses"]) == (pooled[1]["hits"], pooled[1]["misses"]) == tally
+
+
+@pytest.mark.parametrize("workload,chunk,compiled,tally", SUBMIT_CHUNKS)
+def test_serial_and_process_execute_settle_alike(workload, chunk, compiled, tally):
+    """The batch twin of the chunk test: a remembered prepare failure
+    makes the serial loop tally an unpreparable program once, exactly
+    like a pool worker's resident table."""
+    workload = get_workload(workload) if isinstance(workload, str) else workload
+    serial = SerialBackend(workload)
+    results = serial.execute(chunk, fuel=50, compiled=compiled)
+    backend = ProcessBackend(workload, workers=1)
+    try:
+        pooled = backend.execute(chunk, fuel=50, compiled=compiled)
+    finally:
+        backend.close()
+    assert pickle.dumps(results) == pickle.dumps(pooled)
+    hits, misses = serial.last_cache_stats["hits"], serial.last_cache_stats["misses"]
+    assert (hits, misses) == (
+        backend.last_cache_stats["hits"],
+        backend.last_cache_stats["misses"],
+    ) == tally
 
 
 # -- the cost model and bounded worker tables --------------------------------

@@ -285,6 +285,27 @@ def test_process_shards_without_schema_pickle_results():
         backend.close()
 
 
+def test_raw_submit_chunk_still_interns_duplicates():
+    """A wrapper that does not intern (unsupervised chaos hands the
+    whole batch to ``submit_chunk``) gets the same dedup as
+    ``execute``: duplicates share one result object and tally as the
+    in-process ensemble's hits."""
+    jobs = family_jobs(2, 40, seed=12)
+    jobs += [jobs[3], jobs[7]]
+    local = EnsembleBackend(MACHINES)
+    expected = local.execute(jobs, fuel=FUEL, compiled=True)
+    backend = ChaosBackend(EnsembleProcessBackend(MACHINES, workers=1))
+    try:
+        got = backend.execute(jobs, fuel=FUEL, compiled=True)
+        assert pickle.dumps(got) == pickle.dumps(expected)
+        assert got[40] is got[3]
+        assert got[41] is got[7]
+        for key in ("hits", "misses"):
+            assert backend.last_cache_stats[key] == local.last_cache_stats[key]
+    finally:
+        backend.close()
+
+
 # -- supervision and fault recovery ------------------------------------------
 
 
