@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pickle
 import platform
 import sys
@@ -160,6 +161,8 @@ def main(argv: list[str] | None = None) -> int:
         "acceptance": {
             "required_warm_speedup": required,
             "warm_speedup": r["warm_speedup"],
+            "samples": repeats,            # best-of count of every timing
+            "cpus": os.cpu_count(),
             "exact_equal": True,           # asserted above, fatal otherwise
             "shm_zero_pickled_results": True,
             "passed": passed,

@@ -8,21 +8,28 @@ sort, a ``compile_tm`` table build, a result object) dominates the
 actual stepping.  This module turns the population itself into the
 unit of execution:
 
-* every machine's transition table is lowered into one shared dense
-  array ``table[pop, states, symbols]`` of packed int32 *codes*
-  (``(next_state+1) << 16 | write << 8 | (move+1)``, with ``0``
-  meaning "no rule / halting state" — the same all-``None``-row trick
+* every machine's transition table is lowered into one shared flat
+  int64 code table ``table[(row * states + state) * symbols + symbol]``;
+  an entry packs the write byte in its low byte, ``move + 1`` above
+  it and, from bit 10 up, the flat offset of the *next state's row*,
+  so one add of the read symbol finds the next code; ``-1`` means
+  "no rule / halting state" (the same all-``None``-row trick
   :class:`~repro.perf.engine.CompiledTM` uses);
-* the population's live state is three arrays — ``state``, ``head``
-  and a shared growable tape *window* ``tape[pop, W]`` of interned
-  symbol bytes;
-* one survey step is a handful of fancy-indexing operations across the
-  whole live population: gather the read symbols, gather the codes,
-  settle the machines whose code is 0, scatter the writes, add the
-  moves.  Halted and escaped machines are masked out of the live index
-  so later lock steps touch only the survivors; when any head hits the
-  window edge the window is reallocated (amortised doubling, like the
-  compiled engine's segmented tape).
+* the population's live state is three compacted vectors — row ids,
+  current state-row offsets and flat tape positions
+  (``row * width + head``) into a shared growable tape *window*
+  ``tape[pop, W]`` of interned symbol bytes;
+* one survey step is a handful of flat operations across the whole
+  live population: ``take`` the read symbols, add, ``take`` the codes,
+  a ``min()`` test that settles the halters, a scatter of the write
+  bytes, and shifts for the move and the next state.  Halted and
+  escaped machines are masked out of the live vectors so later lock
+  steps touch only the survivors.  A head moves at most one cell per
+  step, so the window bounds are checked only once the slack measured
+  at the last check is used up; when a live head is off an edge the
+  window is reallocated (amortised doubling, like the compiled
+  engine's segmented tape) on exactly the step the per-step check
+  would have.
 
 Equivalence contract: for every machine in the family and every input,
 the outcome row is *identical* to ``machine.run(input, fuel=fuel)`` —
@@ -31,7 +38,10 @@ count, the same rendered tape and final state.  The property tests in
 ``tests/test_runtime_ensemble.py`` check this against both the
 reference interpreter and the compiled per-machine path over
 randomized enumerated families, including machines that escape the
-initial window and machines that never halt under the fuel bound.
+initial window and machines that never halt under the fuel bound, and
+row by row against each machine's own ``run`` over a family that mixes
+state counts, out-of-alphabet (and non-ASCII) input symbols and a row
+that halts on the step its head first leaves the window.
 
 A machine is *ensemble-eligible* when its states and its (input-
 extended) alphabet fit the family's caps; :exc:`EnsembleIneligible`
@@ -51,6 +61,7 @@ from typing import Any
 import numpy as np
 
 from repro.machines.turing import BLANK, MOVE_OFFSET, TuringMachine
+from repro.perf.engine import _render
 
 __all__ = [
     "EnsembleIneligible",
@@ -184,22 +195,38 @@ def intern_input(spec: MachineSpec, tape_input: str, *, max_symbols: int = 32) -
 
 @dataclass
 class EnsembleFamily:
-    """A whole population compiled into dense lock-step arrays.
+    """A whole population compiled into flat lock-step arrays.
 
-    Single-use: :func:`run_family` consumes ``tape``/``head`` in place.
+    ``table`` is one 1-D int64 code table: row ``e``'s state ``q``
+    reading symbol ``c`` sits at ``(e * n_states + q) * n_symbols + c``.
+    An entry packs ``next << 10 | (move + 1) << 8 | write``, where
+    ``next`` is the flat offset of the next state's row, so stepping
+    never re-derives a row's base; ``-1`` means "halt / no rule".
+    ``accept`` is indexed by ``e * n_states + q`` (a row offset divided
+    by ``n_symbols``).
+
+    Single-use: :func:`run_family` consumes ``tape`` in place.
     """
 
-    table: np.ndarray        # (E, S, K) int32 packed codes; 0 = halt/no rule
-    accept: np.ndarray       # (E, S) bool
-    initial: np.ndarray      # (E,) int32
+    table: np.ndarray        # (E*S*K,) int64 flat codes; -1 = halt/no rule
+    accept: np.ndarray       # (E*S,) bool
+    initial: np.ndarray      # (E,) int32 initial state ids
     tape: np.ndarray         # (E, W) uint8 window, blank == 0
     head: np.ndarray         # (E,) int64 window positions
+    n_states: int            # S: the widest row's state count
+    n_symbols: int           # K: the widest row's alphabet, input extras included
     state_names: list[list[str]]
     names: list[list[str]]   # per-row symbol names, input extras included
 
     @property
     def population(self) -> int:
-        return self.table.shape[0]
+        return self.initial.shape[0]
+
+
+# Bit layout of a flat code: write byte, then move + 1, then the next
+# state's row offset.
+_MOVE_SHIFT = 8
+_NEXT_SHIFT = 10
 
 
 def compile_family(
@@ -207,15 +234,15 @@ def compile_family(
 ) -> EnsembleFamily:
     """Stack ``(spec, input_extras, input)`` rows into one family.
 
-    One scatter stamps every machine's rules into the shared
-    ``(pop, states, symbols)`` table; inputs are interned into the
-    initial tape window with a shared left/right margin.
+    One scatter stamps every machine's rules into the shared flat code
+    table; inputs are interned into the initial tape window with a
+    shared left/right margin.
     """
     pop = len(entries)
     n_states = max(spec.n_states for spec, _, _ in entries)
     n_symbols = max(spec.n_symbols + len(extras) for spec, extras, _ in entries)
-    table = np.zeros((pop, n_states, n_symbols), dtype=np.int32)
-    accept = np.zeros((pop, n_states), dtype=bool)
+    table = np.full(pop * n_states * n_symbols, -1, dtype=np.int64)
+    accept = np.zeros(pop * n_states, dtype=bool)
     initial_ids: list[int] = []
     state_names: list[list[str]] = []
     names: list[list[str]] = []
@@ -223,7 +250,7 @@ def compile_family(
     # Flat Python accumulation + one materialisation per axis + one
     # scatter: at census scale this is ~3x cheaper than building
     # per-machine arrays and concatenating them.
-    r_rows: list[int] = []
+    r_counts: list[int] = []
     r_states: list[int] = []
     r_symbols: list[int] = []
     r_codes: list[int] = []
@@ -233,23 +260,24 @@ def compile_family(
         initial_ids.append(spec.initial_id)
         state_names.append(spec.state_names)
         names.append(spec.symbol_names + extras if extras else spec.symbol_names)
-        codes = spec.rule_codes
-        if codes:
-            r_rows.extend([e] * len(codes))
-            r_states.extend(spec.rule_states)
-            r_symbols.extend(spec.rule_symbols)
-            r_codes.extend(codes)
+        r_counts.append(len(spec.rule_codes))
+        r_states.extend(spec.rule_states)
+        r_symbols.extend(spec.rule_symbols)
+        r_codes.extend(spec.rule_codes)
         if spec.accept_ids:
             a_rows.extend([e] * len(spec.accept_ids))
             a_states.extend(spec.accept_ids)
-    if r_rows:
-        table[
-            np.array(r_rows, dtype=np.int32),
-            np.array(r_states, dtype=np.int32),
-            np.array(r_symbols, dtype=np.int32),
-        ] = np.array(r_codes, dtype=np.int32)
+    if r_codes:
+        n = len(r_codes)
+        rows = np.repeat(np.arange(0, pop * n_states, n_states, dtype=np.int64), r_counts)
+        packed = np.fromiter(r_codes, dtype=np.int64, count=n)
+        next_row = (rows + (packed >> 16) - 1) * n_symbols
+        slot = (rows + np.fromiter(r_states, dtype=np.int64, count=n)) * n_symbols
+        table[slot + np.fromiter(r_symbols, dtype=np.int64, count=n)] = (
+            (next_row << _NEXT_SHIFT) | ((packed & 0xFF) << _MOVE_SHIFT) | ((packed >> 8) & 0xFF)
+        )
     if a_rows:
-        accept[np.array(a_rows, dtype=np.int32), np.array(a_states, dtype=np.int32)] = True
+        accept[np.array(a_rows, dtype=np.int64) * n_states + np.array(a_states, dtype=np.int64)] = True
     initial = np.array(initial_ids, dtype=np.int32)
 
     width = max(len(tape_input) for _, _, tape_input in entries)
@@ -268,9 +296,16 @@ def compile_family(
         initial=initial,
         tape=tape,
         head=head,
+        n_states=n_states,
+        n_symbols=n_symbols,
         state_names=state_names,
         names=names,
     )
+
+
+# Rows per block of the sigma count: bounds its boolean temporary to
+# about 1 MiB whatever the window width.
+_COUNT_CELLS = 1 << 20
 
 
 @dataclass
@@ -290,7 +325,6 @@ class EnsembleOutcome:
     abandoned: np.ndarray    # (E,) bool
     lock_steps: int
     grows: int
-    _trans_memo: dict = field(default_factory=dict, repr=False)
     _count_memo: dict = field(default_factory=dict, repr=False)
 
     def state_name(self, row: int) -> str:
@@ -298,30 +332,16 @@ class EnsembleOutcome:
 
     def tape_string(self, row: int) -> str:
         """The same trimmed tape string the reference renders."""
-        core = self.family.tape[row].tobytes().strip(b"\x00")
-        if not core:
-            return ""
-        names = self.family.names[row]
-        key = tuple(names)
-        trans = self._trans_memo.get(key)
-        if trans is None:
-            if all(len(n) == 1 and ord(n) < 128 for n in names):
-                trans = bytes(
-                    ord(names[i]) if i < len(names) else 0 for i in range(256)
-                )
-            else:
-                trans = False  # multi-char or non-ascii symbols: slow path
-            self._trans_memo[key] = trans
-        if trans is False:
-            return "".join(names[b] for b in core)
-        return core.translate(trans).decode("ascii")
+        return _render(self.family.tape[row].tobytes(), tuple(self.family.names[row]))
 
     def count_symbol(self, char: str) -> np.ndarray:
         """Per-row occurrences of ``char`` on the final tape.
 
         Vectorised across the whole population — the busy-beaver sigma
-        count without rendering a single tape string.  ``BLANK`` is
-        indistinguishable from window padding, so it cannot be counted.
+        count without rendering a single tape string — in row blocks,
+        so the comparison temporary stays small at any window width.
+        ``BLANK`` is indistinguishable from window padding, so it
+        cannot be counted.
         """
         if char == BLANK:
             raise ValueError("cannot count the blank symbol: it is the window padding")
@@ -333,7 +353,15 @@ class EnsembleOutcome:
                 dtype=np.int16,
                 count=len(names),
             )
-            counts = (self.family.tape == targets[:, None]).sum(axis=1)
+            tape = self.family.tape
+            pop, width = tape.shape
+            counts = np.zeros(pop, dtype=np.int64)
+            block = max(1, _COUNT_CELLS // max(1, width))
+            for lo in range(0, pop, block):
+                hi = min(pop, lo + block)
+                counts[lo:hi] = np.count_nonzero(
+                    tape[lo:hi] == targets[lo:hi, None], axis=1
+                )
             counts[targets < 0] = 0
             self._count_memo[char] = counts
         return counts
@@ -344,68 +372,81 @@ def run_family(
 ) -> EnsembleOutcome:
     """Step the whole population in lock-step until everyone settles.
 
-    One iteration = one transition for every live machine: two gathers
-    (read symbol, packed code), a zero-test that settles halters, a
-    scatter of the writes, and vectorised head/state updates.  The
-    window grows (amortised doubling, on whichever side was hit) the
-    moment any live head steps off an edge.
+    The live machines are three compacted vectors: row ids, flat code
+    offsets of their current state rows, and flat tape positions
+    (``row * width + head``).  One iteration = one transition for every
+    live machine: ``take`` the read symbols, ``take`` the codes at
+    offset + symbol, a ``min()`` test that settles halters, a scatter
+    of the low (write) bytes, and shifts for the move and next state.
+
+    A head moves at most one cell per step, so the window bounds are
+    checked only once the slack measured at the last check is used up;
+    the check still fires on the first step any live head is off an
+    edge, and the window grows (amortised doubling, on whichever side
+    was hit) exactly then.
 
     With ``straggler_cutoff > 0`` the loop stops early once at most
     that many machines remain live before the fuel runs out; they come
     back flagged ``abandoned`` with no partial state leaked.
     """
     pop = family.population
-    tape, head = family.tape, family.head
+    n_states, n_symbols = family.n_states, family.n_symbols
     halted = np.zeros(pop, dtype=bool)
     accepted = np.zeros(pop, dtype=bool)
     steps = np.zeros(pop, dtype=np.int64)
     final_state = family.initial.astype(np.int32, copy=True)
     abandoned = np.zeros(pop, dtype=bool)
 
-    idx = np.arange(pop)
-    st = family.initial.astype(np.int32, copy=True)
-    h = head.copy()  # live heads, compacted alongside idx/st
     table, accept = family.table, family.accept
-    width = tape.shape[1]
+    width = family.tape.shape[1]
+    flat = family.tape.reshape(-1)
+    idx = np.arange(pop)
+    cur = (idx * n_states + family.initial) * n_symbols  # state-row offsets
+    pos = idx * width + family.head                       # flat tape positions
     t = 0
     grows = 0
+    check_at = 0  # the first step at which a head can be off the window
     while t < fuel and idx.size:
         if straggler_cutoff and idx.size <= straggler_cutoff:
             abandoned[idx] = True
             idx = idx[:0]
             break
-        sym = tape[idx, h]
-        code = table[idx, st, sym]
-        if not code.min():  # some machine has no rule: settle it now
-            live = code != 0
-            dead_idx = idx[~live]
-            dead_st = st[~live]
+        code = table.take(cur + flat.take(pos))
+        if code.min() < 0:  # some machine has no rule: settle it now
+            live = code >= 0
+            dead = ~live
+            dead_idx = idx[dead]
+            dead_rows = cur[dead] // n_symbols
             halted[dead_idx] = True
             steps[dead_idx] = t
-            accepted[dead_idx] = accept[dead_idx, dead_st]
-            final_state[dead_idx] = dead_st
-            idx, st, code, h = idx[live], st[live], code[live], h[live]
+            accepted[dead_idx] = accept.take(dead_rows)
+            final_state[dead_idx] = dead_rows - dead_idx * n_states
+            idx, cur, pos, code = idx[live], cur[live], pos[live], code[live]
             if not idx.size:
                 break
-        tape[idx, h] = (code >> 8) & 0xFF
-        h += (code & 0xFF) - 1
-        st = (code >> 16) - 1
+        flat[pos] = code.astype(np.uint8)
+        pos += ((code >> _MOVE_SHIFT) & 3) - 1
+        cur = code >> _NEXT_SHIFT
         t += 1
-        lo = h.min()
-        hi = h.max()
-        if lo < 0 or hi >= width:
-            left = width if lo < 0 else 0
-            right = width if hi >= width else 0
-            wider = np.zeros((pop, width + left + right), dtype=np.uint8)
-            wider[:, left : left + width] = tape
-            tape = wider
-            if left:
-                h += left
-            width = tape.shape[1]
-            family.tape = tape
-            grows += 1
+        if t >= check_at:
+            head = pos - idx * width
+            lo = int(head.min())
+            hi = int(head.max())
+            if lo < 0 or hi >= width:
+                left = width if lo < 0 else 0
+                right = width if hi >= width else 0
+                wider = np.zeros((pop, width + left + right), dtype=np.uint8)
+                wider[:, left : left + width] = family.tape
+                family.tape = wider
+                width = wider.shape[1]
+                flat = wider.reshape(-1)
+                pos = idx * width + head + left
+                lo += left
+                hi += left
+                grows += 1
+            check_at = t + 1 + min(lo, width - 1 - hi)
     if idx.size:  # fuel exhausted: the honest "still running" verdict
-        final_state[idx] = st
+        final_state[idx] = cur // n_symbols - idx * n_states
         steps[idx] = fuel
     return EnsembleOutcome(
         family=family,

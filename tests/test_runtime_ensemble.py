@@ -17,6 +17,7 @@ from repro.machines.busybeaver import (
 from repro.machines.turing import BLANK, TuringMachine
 from repro.obs.instrument import observed
 from repro.perf.ensemble_engine import (
+    _PAD,
     EnsembleIneligible,
     compile_family,
     intern_input,
@@ -148,6 +149,91 @@ def test_engine_outcome_reports_growth():
     assert outcome.grows > 0
     assert not outcome.halted.any()
     assert (outcome.steps == 200).all()
+
+
+def _chain_machine(length):
+    """Walks right over blanks through ``length`` states, then halts on
+    the next read (its last state has no rule).  Started ``length``
+    cells left of the window's right edge, it halts on the very step its
+    head first leaves the window."""
+    delta = {
+        ("C%d" % i, BLANK): ("C%d" % (i + 1), "1", "R") for i in range(length)
+    }
+    return TuringMachine(delta=delta, initial="C0", accept_states=frozenset({"Z"}))
+
+
+def _mixed_family():
+    """(machine, input) rows for the row-level exactness checks.
+
+    Rows differ in state count (2-, 3- and 4-state candidates plus a
+    long chain); inputs carry symbols outside the machines' alphabets,
+    one of them non-ASCII; a left and a right escaper force the window
+    to double; the chain row halts on the step its head first leaves
+    the initial window.
+    """
+    inputs = ["", "1", "11x", "1\u00e91"]
+    rows = []
+    for n, seed in ((2, 21), (3, 22), (4, 23)):
+        for i, machine in enumerate(enumerate_machines(n, 40, seed=seed)):
+            rows.append((machine, inputs[i % len(inputs)]))
+    runner = {("A", BLANK): ("A", "1", "L"), ("A", "1"): ("A", "1", "L")}
+    walker = {("A", BLANK): ("B", "1", "R"), ("B", BLANK): ("A", BLANK, "R")}
+    for delta in (runner, walker):
+        machine = TuringMachine(delta=delta, initial="A", accept_states=frozenset({"Z"}))
+        rows += [(machine, ""), (machine, "1x")]
+    width = max(len(tape) for _, tape in rows) + 2 * _PAD
+    rows.append((_chain_machine(width - _PAD), ""))
+    return rows
+
+
+def _outcome_of(rows, fuel, straggler_cutoff=0):
+    entries = []
+    for machine, tape in rows:
+        spec = lower_machine(machine)
+        entries.append((spec, intern_input(spec, tape) if tape else [], tape))
+    family = compile_family(entries)
+    return family, run_family(family, fuel=fuel, straggler_cutoff=straggler_cutoff)
+
+
+def _assert_row_matches(outcome, row, machine, tape, fuel):
+    ref = machine.run(tape, fuel=fuel)
+    assert bool(outcome.halted[row]) == ref.halted, row
+    assert bool(outcome.accepted[row]) == ref.accepted, row
+    assert int(outcome.steps[row]) == ref.steps, row
+    assert outcome.state_name(row) == ref.final_state, row
+    assert outcome.tape_string(row) == ref.tape, row
+    assert int(outcome.count_symbol("1")[row]) == ref.tape.count("1"), row
+
+
+def test_run_family_rows_match_machine_run():
+    """Every row of a mixed family equals its own ``machine.run``:
+    verdicts, step counts, final states, rendered tapes and sigma."""
+    fuel = 2_048
+    rows = _mixed_family()
+    family, outcome = _outcome_of(rows, fuel)
+    assert outcome.grows >= 3  # the escapers doubled the window repeatedly
+    assert not outcome.abandoned.any()
+    for row, (machine, tape) in enumerate(rows):
+        _assert_row_matches(outcome, row, machine, tape, fuel)
+    chain = len(rows) - 1
+    assert outcome.halted[chain]
+    assert outcome.steps[chain] == len(rows[chain][0].delta)
+    assert any(not name.isascii() for names in family.names for name in names)
+
+
+def test_run_family_straggler_rows_match_machine_run():
+    """With a cutoff, the settled rows stay exact and the rest come
+    back abandoned before the fuel runs out."""
+    fuel = 2_048
+    rows = _mixed_family()
+    # 36 rows never halt; a cutoff of 40 abandons them and a few late
+    # halters once every early halter has settled.
+    _, outcome = _outcome_of(rows, fuel, straggler_cutoff=40)
+    assert outcome.abandoned.any()
+    assert outcome.lock_steps < fuel
+    for row, (machine, tape) in enumerate(rows):
+        if not outcome.abandoned[row]:
+            _assert_row_matches(outcome, row, machine, tape, fuel)
 
 
 # -- interning: equal jobs share one result object ---------------------------
